@@ -120,13 +120,16 @@ func TestMixedBatchFailureModes(t *testing.T) {
 	big := mustParse(t, fw, figure1a) // > 5 nodes: cannot fit next to the blocker
 
 	// The blocker occupies 95 of the gate's 100 node slots for the whole
-	// batch, parked inside its BeforeTree hook.
+	// batch, parked inside its BeforeTree hook (which runs after
+	// admission, so held means admitted).
 	blocker := deepChain(94)
+	held := make(chan struct{})
 	hold := make(chan struct{})
 	blockerDone := make(chan struct{})
 	restore := core.SetTestHooks(core.TestHooks{BeforeTree: func(tr *xsdf.Tree) {
 		switch tr {
 		case blocker:
+			close(held)
 			<-hold
 		case panicky:
 			panic("poisoned document")
@@ -141,12 +144,10 @@ func TestMixedBatchFailureModes(t *testing.T) {
 	}()
 	defer func() { close(hold); <-blockerDone }()
 	// Wait until the blocker holds its slots (its weight blocks big docs).
-	for {
-		if _, err := fw.DisambiguateTree(mustParse(t, fw, figure1b)); errors.Is(err, xsdf.ErrOverloaded) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Probing with a document instead can shed the blocker itself: the
+	// gate rejects without waiting, and a probe in flight when the blocker
+	// arrives leaves it no room.
+	<-held
 
 	results, err := fw.DisambiguateBatchContext(context.Background(),
 		[]*xsdf.Tree{panicky, slow, big},

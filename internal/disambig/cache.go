@@ -12,10 +12,10 @@ import (
 // Cache is the shared, concurrency-safe memoization layer of the semantic
 // hot path. One Cache is owned by a core.Framework and shared by every
 // disambiguator the framework creates — all batch workers and all
-// intra-document node workers hit the same pairwise-similarity and
-// concept-sphere-vector memos, so a corpus with repeated vocabulary pays
-// for each Sim(c1, c2) evaluation and each semantic-network sphere walk
-// once, not once per document.
+// intra-document node workers hit the same similarity (per-word and
+// pairwise) and concept-sphere-vector memos, so a corpus with repeated
+// vocabulary pays for each Sim(c1, c2) evaluation, each per-word maximum,
+// and each semantic-network sphere walk once, not once per document.
 //
 // Keys are dense int32 concept ids (the network's ConceptIndex) packed
 // into integers, and shard selection is a two-multiply mix — a warm lookup
@@ -93,9 +93,6 @@ func (c *Cache) Measure() *simmeasure.Measure { return c.sim }
 // Sim returns the memoized combined similarity of the pair.
 func (c *Cache) Sim(a, b semnet.ConceptID) float64 { return c.sim.Sim(a, b) }
 
-// SimDense is Sim over dense ids — the disambiguation inner loop's path.
-func (c *Cache) SimDense(a, b semnet.DenseID) float64 { return c.sim.SimDense(a, b) }
-
 // ConceptVector returns the memoized semantic-network context vector
 // V_d(s) of a sense (Definition 10); unknown ids yield the empty vector.
 // The returned vector is shared: read-only.
@@ -168,8 +165,10 @@ func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
 }
 
 // CacheStats is a point-in-time snapshot of the shared cache counters, for
-// observability and effectiveness tests. Counters are atomics: exact in
-// serial runs, approximate snapshots under concurrency.
+// observability and effectiveness tests. SimHits and SimMisses count word
+// lookups (Measure.WordSimDense: one per candidate sense and context
+// token), not sense-pair probes. Counters are atomics: exact in serial
+// runs, approximate snapshots under concurrency.
 type CacheStats struct {
 	SimHits, SimMisses       uint64
 	VectorHits, VectorMisses uint64

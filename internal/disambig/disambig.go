@@ -191,23 +191,22 @@ func (d *Disambiguator) Options() Options { return d.opts }
 func (d *Disambiguator) Cache() *Cache { return d.cache }
 
 // contextNode is one pre-resolved member of the target's sphere context:
-// its vector weight and the [senseStart, senseEnd) range of its per-token
-// sense lists within preparedContext.senseLists.
+// its vector weight and the [lemmaStart, lemmaEnd) range of its per-token
+// lemma ids within preparedContext.lemmas.
 type contextNode struct {
 	weight     float64 // w_{V_d(x)}(x_i.ℓ)
-	senseStart int32
-	senseEnd   int32
+	lemmaStart int32
+	lemmaEnd   int32
 }
 
 // preparedContext is the fully-resolved sphere context of one target node:
-// the Definition 6–7 context vector, the per-member sense lists (dense
-// ids, referencing the network's frozen per-lemma slices), and the sphere
-// size.
+// the Definition 6–7 context vector, one label id per member token (-1
+// when the token names no concept), and the sphere size.
 type preparedContext struct {
-	vec        sphere.Vector
-	ctx        []contextNode
-	senseLists [][]semnet.DenseID
-	size       int
+	vec    sphere.Vector
+	ctx    []contextNode
+	lemmas []int32
+	size   int
 }
 
 // ctxScratch bundles the reusable buffers of one context build: the sphere
@@ -265,8 +264,8 @@ func (d *Disambiguator) contextFor(x *xmltree.Node, s *ctxScratch) *preparedCont
 }
 
 // buildContextInto runs the sphere BFS once and derives the membership,
-// the context vector, and the per-member dense sense lists from that
-// single walk, reusing every buffer in s. The result aliases s.
+// the context vector, and the per-member token lemma ids from that single
+// walk, reusing every buffer in s. The result aliases s.
 func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *preparedContext {
 	members := sphere.SphereInto(x, d.opts.Radius, d.opts.FollowLinks, &s.sph)
 	if cap(s.memberDims) < len(members) {
@@ -277,7 +276,7 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 	pc.vec = sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md)
 	pc.size = len(members)
 	pc.ctx = pc.ctx[:0]
-	pc.senseLists = pc.senseLists[:0]
+	pc.lemmas = pc.lemmas[:0]
 	for i, m := range members {
 		if m.Node == x {
 			continue
@@ -286,15 +285,15 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 		if md[i] >= 0 {
 			w = pc.vec.WeightOf(md[i])
 		}
-		start := int32(len(pc.senseLists))
+		start := int32(len(pc.lemmas))
 		if toks := m.Node.Tokens; len(toks) > 0 {
 			for _, t := range toks {
-				pc.senseLists = append(pc.senseLists, d.sensesDense(t))
+				pc.lemmas = append(pc.lemmas, d.lemmaDense(t))
 			}
 		} else {
-			pc.senseLists = append(pc.senseLists, d.sensesDense(m.Node.Label))
+			pc.lemmas = append(pc.lemmas, d.lemmaDense(m.Node.Label))
 		}
-		pc.ctx = append(pc.ctx, contextNode{weight: w, senseStart: start, senseEnd: int32(len(pc.senseLists))})
+		pc.ctx = append(pc.ctx, contextNode{weight: w, lemmaStart: start, lemmaEnd: int32(len(pc.lemmas))})
 	}
 	return pc
 }
@@ -309,13 +308,23 @@ func (d *Disambiguator) senses(tok string) []semnet.ConceptID {
 	return d.net.Senses(tok)
 }
 
-// sensesDense is senses in dense ids; the returned slice is the network's
-// frozen frequency-ordered sense list (read-only).
-func (d *Disambiguator) sensesDense(tok string) []semnet.DenseID {
+// lemmaDense is the dense form of the senses lookup: the token's label id,
+// or -1 when it names no concept or an injected lookup fault fires.
+func (d *Disambiguator) lemmaDense(tok string) int32 {
 	if faultinject.DropLookup() {
-		return nil
+		return -1
 	}
-	return d.net.SensesDense(tok)
+	return d.net.LemmaDense(tok)
+}
+
+// sensesDense returns the token's senses in dense ids through lemmaDense;
+// the slice is the network's frozen frequency-ordered sense list
+// (read-only), nil when the lookup fails.
+func (d *Disambiguator) sensesDense(tok string) []semnet.DenseID {
+	if l := d.lemmaDense(tok); l >= 0 {
+		return d.net.LemmaSensesDense(l)
+	}
+	return nil
 }
 
 // conceptID converts a dense id back to its ConceptID for result Senses.
@@ -339,46 +348,43 @@ func (d *Disambiguator) denseCandidate(buf []semnet.DenseID, ids ...semnet.Conce
 	return buf
 }
 
-// pairSimDense routes concept-pair similarity through the shared cache, or
-// straight to the uncached computation in bypass mode. Cached reads pass
-// the cache-poison fault point, which chaos tests use to prove that a
-// corrupted score degrades answer quality, never answer shape. The -1
-// sentinel (a public-API candidate outside the network) scores 0, the
-// exact value the component measures produce for unknown concepts.
-func (d *Disambiguator) pairSimDense(a, b semnet.DenseID) float64 {
+// wordSim returns max_j Sim(s, s_j) over the senses of a context lemma
+// through the shared word memo, or straight from the uncached computation
+// in bypass mode. Cached reads pass the cache-poison fault point, which
+// chaos tests use to prove that a corrupted score degrades answer quality,
+// never answer shape; a poisoned value replaces the read and never enters
+// the memo. The -1 sentinel (a public-API candidate outside the network)
+// scores 0, the exact value the component measures produce for unknown
+// concepts.
+func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32) float64 {
 	if d.bypassCache {
-		if a < 0 || b < 0 {
+		if s < 0 {
 			return 0
 		}
-		return d.cache.Measure().SimDirectDense(a, b)
+		return d.cache.Measure().WordSimDirectDense(s, lemma)
 	}
 	if v, ok := faultinject.PoisonSim(); ok {
 		return v
 	}
-	if a < 0 || b < 0 {
+	if s < 0 {
 		return 0
 	}
-	return d.cache.SimDense(a, b)
+	return d.cache.Measure().WordSimDense(s, lemma)
 }
 
 // simToContextNode returns max_j Sim(s, s_j^i) over the senses of context
 // node cn. A compound context label is processed like a compound target
 // (§3.5.1 note): the max over token-sense pairs of the average similarity,
-// which factorizes into the average of per-token maxima.
+// which factorizes into the average of per-token maxima — one word lookup
+// per token.
 func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, cn contextNode) float64 {
 	var sum float64
 	var counted int
-	for _, senses := range pc.senseLists[cn.senseStart:cn.senseEnd] {
-		if len(senses) == 0 {
+	for _, l := range pc.lemmas[cn.lemmaStart:cn.lemmaEnd] {
+		if l < 0 {
 			continue
 		}
-		best := 0.0
-		for _, sj := range senses {
-			if v := d.pairSimDense(s, sj); v > best {
-				best = v
-			}
-		}
-		sum += best
+		sum += d.wordSim(s, l)
 		counted++
 	}
 	if counted == 0 {

@@ -167,21 +167,14 @@ func (b *Builder) Build() (*Network, error) {
 	for d := 0; d < N; d++ {
 		n.expGlossD[d] = n.expandGlossDense(DenseID(d))
 	}
-	n.sensesD = make(map[string][]DenseID, len(n.byLemma))
-	for lemma, ids := range n.byLemma {
-		ds := make([]DenseID, len(ids))
-		for i, id := range ids {
-			ds[i] = n.index.dense[id]
-		}
-		n.sensesD[lemma] = ds
-	}
 	n.lcsMemo.init()
 	return n, nil
 }
 
 // buildLabelTable freezes the label universe: every distinct lemma, sorted
-// lexicographically so dense label order preserves string order, plus the
-// primary-label dimension of each concept.
+// lexicographically so dense label order preserves string order, its
+// frequency-ordered dense senses, and the primary-label dimension of each
+// concept.
 func (n *Network) buildLabelTable() {
 	n.labels = make([]string, 0, len(n.byLemma))
 	for l := range n.byLemma {
@@ -189,8 +182,15 @@ func (n *Network) buildLabelTable() {
 	}
 	sort.Strings(n.labels)
 	n.labelID = make(map[string]int32, len(n.labels))
+	n.sensesL = make([][]DenseID, len(n.labels))
 	for i, l := range n.labels {
 		n.labelID[l] = int32(i)
+		ids := n.byLemma[l]
+		ds := make([]DenseID, len(ids))
+		for j, id := range ids {
+			ds[j] = n.index.dense[id]
+		}
+		n.sensesL[i] = ds
 	}
 	n.labelOfD = make([]int32, len(n.order))
 	for i, id := range n.order {

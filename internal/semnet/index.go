@@ -109,11 +109,28 @@ func (n *Network) LabelDense(d DenseID) int32 { return n.labelOfD[d] }
 // ExpandedGlossTokensDense is ExpandedGlossTokens for an in-range dense id.
 func (n *Network) ExpandedGlossTokensDense(d DenseID) []string { return n.expGlossD[d] }
 
+// LemmaDense returns the label id of the word or expression (matched
+// case-insensitively, as Senses matches it), or -1 when it names no
+// concept. Every known lemma has at least one sense.
+func (n *Network) LemmaDense(lemma string) int32 {
+	if l, ok := n.labelID[lower(lemma)]; ok {
+		return l
+	}
+	return -1
+}
+
+// LemmaSensesDense returns the dense senses of an in-range label id in the
+// same frequency order as Senses. The slice is shared and read-only.
+func (n *Network) LemmaSensesDense(l int32) []DenseID { return n.sensesL[l] }
+
 // SensesDense returns the dense ids of the lemma's senses in the same
 // frequency order as Senses. The slice is shared and read-only; nil when
 // the lemma is unknown.
 func (n *Network) SensesDense(lemma string) []DenseID {
-	return n.sensesD[lower(lemma)]
+	if l := n.LemmaDense(lemma); l >= 0 {
+		return n.sensesL[l]
+	}
+	return nil
 }
 
 // LCSDense is LCS over dense ids: the deepest shared ancestor in the

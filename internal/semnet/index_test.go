@@ -130,3 +130,42 @@ func FuzzConceptIndexRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestLemmaDenseMatchesSenses: LemmaDense resolves a word to its label id
+// case-insensitively, as Senses does, and the label-indexed sense lists
+// reproduce Senses in frequency order; unknown words resolve to -1.
+func TestLemmaDenseMatchesSenses(t *testing.T) {
+	b := NewBuilder()
+	b.AddConcept("star.n.01", "a celestial body", 5, "star")
+	b.AddConcept("star.n.02", "a principal performer", 9, "star", "lead")
+	b.AddConcept("lead.n.01", "a soft heavy metal", 2, "lead")
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lemma := range net.Lemmas() {
+		l := net.LemmaDense(strings.ToUpper(lemma))
+		if want, ok := net.LabelID(lemma); !ok || l != want {
+			t.Fatalf("LemmaDense(%q) = %d, want label id %d", strings.ToUpper(lemma), l, want)
+		}
+		senses := net.Senses(lemma)
+		dense := net.LemmaSensesDense(l)
+		if len(dense) != len(senses) {
+			t.Fatalf("%q: %d dense senses, want %d", lemma, len(dense), len(senses))
+		}
+		for i, d := range dense {
+			if id, _ := net.ConceptAt(d); id != senses[i] {
+				t.Errorf("%q sense %d = %q, want %q", lemma, i, id, senses[i])
+			}
+		}
+		if got := net.SensesDense(lemma); fmt.Sprint(got) != fmt.Sprint(dense) {
+			t.Errorf("SensesDense(%q) = %v, want %v", lemma, got, dense)
+		}
+	}
+	if l := net.LemmaDense("comet"); l != -1 {
+		t.Errorf("LemmaDense(unknown) = %d, want -1", l)
+	}
+	if s := net.SensesDense("comet"); s != nil {
+		t.Errorf("SensesDense(unknown) = %v, want nil", s)
+	}
+}

@@ -104,10 +104,11 @@ func (c *Concept) Label() string {
 // Alongside the string-keyed API the Network carries a dense integer
 // representation (see index.go): every derived quantity the scoring hot
 // path reads — depth, information content, adjacency, ancestor lists,
-// expanded glosses, sense lists — is stored in flat arrays indexed by
-// dense concept id, and the label universe (all lemmas, sorted) maps
-// labels to dense vector dimensions. The string-keyed methods delegate
-// through the index, so both views are always consistent.
+// expanded glosses — is stored in flat arrays indexed by dense concept
+// id, and the label universe (all lemmas, sorted) maps labels to dense
+// label ids, which serve as vector dimensions and index the per-lemma
+// sense lists. The string-keyed methods delegate through the index, so
+// both views are always consistent.
 type Network struct {
 	concepts map[ConceptID]*Concept
 	order    []ConceptID
@@ -120,19 +121,21 @@ type Network struct {
 
 	// Dense representation, indexed by the position of each concept in the
 	// immutable insertion order. Built once in Build; never mutated.
-	index    *ConceptIndex
-	depthD   []int32       // hypernym depth; roots have depth 1
-	cumFreqD []float64     // own freq + all hyponym descendants
-	icD      []float64     // precomputed -log(cumFreq/totalFreq)
-	edgesD   [][]DenseEdge // integer adjacency mirroring edges
-	glossTokD [][]string   // tokenized gloss cache
+	index     *ConceptIndex
+	depthD    []int32       // hypernym depth; roots have depth 1
+	cumFreqD  []float64     // own freq + all hyponym descendants
+	icD       []float64     // precomputed -log(cumFreq/totalFreq)
+	edgesD    [][]DenseEdge // integer adjacency mirroring edges
+	glossTokD [][]string    // tokenized gloss cache
 
 	// Label universe: every distinct lemma, sorted lexicographically, so
 	// dense label ids preserve string order. labelOfD maps each concept to
-	// the dimension of its primary label.
+	// the dimension of its primary label; sensesL maps each label id to
+	// its dense senses in frequency order.
 	labels   []string
 	labelID  map[string]int32
 	labelOfD []int32
+	sensesL  [][]DenseID
 
 	// Hot-path precomputations, all derived at Build time from the immutable
 	// edge set: per-concept ancestor visit lists (BFS order, exactly the
@@ -144,8 +147,6 @@ type Network struct {
 	ancListD   [][]int32  // BFS-from-concept visit order over hypernyms
 	ancSortedD [][]int32  // same contents, ascending (binary-search membership)
 	expGlossD  [][]string // own + direct-neighbor gloss tokens
-
-	sensesD map[string][]DenseID // lemma -> dense senses, frequency order
 
 	lcsMemo lcsCache // concurrency-safe LCS memo (taxonomy walks dominate Sim cost)
 

@@ -94,9 +94,10 @@ func warmMeasure(tb testing.TB, sample int) (*Measure, []semnet.ConceptID, []sem
 }
 
 // TestWarmSimLookupAllocationFree pins the shard-fix goal: once a pair is
-// cached, Sim and SimDense perform zero heap allocations per lookup — the
-// packed int-pair key and two-multiply shard mix replaced the per-lookup
-// maphash hasher and string conversions of the string-keyed cache.
+// cached, Sim, SimDense and WordSimDense perform zero heap allocations per
+// lookup — the packed int-pair key and two-multiply shard mix replaced the
+// per-lookup maphash hasher and string conversions of the string-keyed
+// cache.
 func TestWarmSimLookupAllocationFree(t *testing.T) {
 	m, ids, dense := warmMeasure(t, 40)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -118,6 +119,22 @@ func TestWarmSimLookupAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm SimDense sweep allocates %.1f times, want 0", allocs)
+	}
+	lemmas := make([]int32, len(dense))
+	for i, d := range dense {
+		lemmas[i] = m.Network().LabelDense(d)
+	}
+	wordSweep := func() {
+		for _, d := range dense {
+			for _, l := range lemmas {
+				m.WordSimDense(d, l)
+			}
+		}
+	}
+	wordSweep()
+	allocs = testing.AllocsPerRun(100, wordSweep)
+	if allocs != 0 {
+		t.Errorf("warm WordSimDense sweep allocates %.1f times, want 0", allocs)
 	}
 }
 

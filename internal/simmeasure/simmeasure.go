@@ -58,7 +58,7 @@ func (w Weights) Normalize() Weights {
 	return Weights{Edge: w.Edge / s, Node: w.Node / s, Gloss: w.Gloss / s}
 }
 
-// simShardCount is the number of shards of the pairwise-Sim cache.
+// simShardCount is the number of shards of each similarity memo.
 // Sharding keeps many disambiguation goroutines from serializing on one
 // mutex; 64 shards are plenty for the worker counts a single host runs.
 const simShardCount = 64
@@ -119,25 +119,41 @@ func (sh *simShard) insert(key uint64, v float64) {
 	sh.mu.Unlock()
 }
 
+// wordShard is one shard of the per-word memo: a simShard plus its own
+// hit/miss counters, padded so that no two shards' counters share a cache
+// line. A single counter pair written on every probe would make all
+// workers contend for one cache line; per-shard counters are written only
+// by the workers probing that shard, and Stats sums them.
+type wordShard struct {
+	simShard
+	hits, misses atomic.Uint64
+	_            [64]byte
+}
+
 // Measure evaluates combined semantic similarity between concepts of one
-// network. It caches pairwise scores, which matters because disambiguation
-// evaluates the same sense pairs many times across context nodes — and,
-// when one Measure is shared by a whole batch run, across documents.
+// network. It keeps two memos, because disambiguation evaluates the same
+// sense pairs many times across context nodes — and, when one Measure is
+// shared by a whole batch run, across documents:
 //
-// The cache is keyed by packed dense int32 concept pairs (canonical
-// dense-ascending order), and shard selection is a two-multiply integer
-// mix: a warm lookup allocates nothing, hashes no strings, and takes Go's
-// fast uint64 map-access path.
+//   - the pair memo holds Sim(c1, c2), keyed by the packed dense pair in
+//     canonical dense-ascending order;
+//   - the word memo holds WordSimDense(s, lemma), the maximum of Sim over
+//     a context lemma's senses that Definition 8 takes per context token,
+//     keyed by the packed (sense, label id) pair. It is filled through the
+//     pair memo, so a cold fill still computes each sense pair once.
 //
-// Measure is safe for concurrent use: the cache is sharded under
-// read-write locks, and cached values are pure functions of the immutable
-// network, so duplicated computation under contention is harmless.
+// Shard selection is a two-multiply integer mix: a warm lookup allocates
+// nothing, hashes no strings, and takes Go's fast uint64 map-access path.
+//
+// Measure is safe for concurrent use: reads of merged entries are
+// lock-free (see simShard), and cached values are pure functions of the
+// immutable network, so duplicated computation under contention is
+// harmless.
 type Measure struct {
 	net     *semnet.Network
 	weights Weights
 	shards  [simShardCount]simShard
-
-	hits, misses atomic.Uint64
+	words   [simShardCount]wordShard
 }
 
 // New returns a Measure over net with the given (normalized) weights.
@@ -148,6 +164,7 @@ func New(net *semnet.Network, w Weights) *Measure {
 	}
 	for i := range m.shards {
 		m.shards[i].dirty = make(map[uint64]float64)
+		m.words[i].dirty = make(map[uint64]float64)
 	}
 	return m
 }
@@ -188,13 +205,47 @@ func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
 	key := semnet.PairKey(d1, d2)
 	sh := &m.shards[semnet.MixPair(d1, d2)%simShardCount]
 	if v, ok := sh.lookup(key); ok {
-		m.hits.Add(1)
 		return v
 	}
-	m.misses.Add(1)
 	v := m.simComputeDense(d1, d2)
 	sh.insert(key, v)
 	return v
+}
+
+// WordSimDense returns the similarity of sense s to a word: max(0,
+// max_j Sim(s, s_j)) over the senses s_j of the lemma with label id lemma
+// (semnet.Network.LemmaDense) — the inner maximum of Definition 8, which
+// depends only on (s, lemma) and is memoized per pair. A fill evaluates
+// the sense pairs through SimDense. s and lemma must be in range.
+func (m *Measure) WordSimDense(s semnet.DenseID, lemma int32) float64 {
+	key := semnet.PairKey(s, lemma)
+	sh := &m.words[semnet.MixPair(s, lemma)%simShardCount]
+	if v, ok := sh.lookup(key); ok {
+		sh.hits.Add(1)
+		return v
+	}
+	sh.misses.Add(1)
+	best := 0.0
+	for _, sj := range m.net.LemmaSensesDense(lemma) {
+		if v := m.SimDense(s, sj); v > best {
+			best = v
+		}
+	}
+	sh.insert(key, best)
+	return best
+}
+
+// WordSimDirectDense is WordSimDense without consulting or filling either
+// memo — the bypass twin differential tests compare it against. A maximum
+// does not depend on evaluation order, so the two agree bit for bit.
+func (m *Measure) WordSimDirectDense(s semnet.DenseID, lemma int32) float64 {
+	best := 0.0
+	for _, sj := range m.net.LemmaSensesDense(lemma) {
+		if v := m.SimDirectDense(s, sj); v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // SimDirect computes the combined similarity without consulting or filling
@@ -303,10 +354,15 @@ func (m *Measure) glossDense(c1, c2 semnet.DenseID) float64 {
 	return raw / (raw + glossSaturation)
 }
 
-// Stats reports cache hits and misses since construction (atomic counters;
-// approximate under concurrency, exact in serial runs).
+// Stats reports word-memo hits and misses (WordSimDense lookups) since
+// construction. The counters are per-shard atomics summed here: exact in
+// serial runs, approximate snapshots under concurrency.
 func (m *Measure) Stats() (hits, misses uint64) {
-	return m.hits.Load(), m.misses.Load()
+	for i := range m.words {
+		hits += m.words[i].hits.Load()
+		misses += m.words[i].misses.Load()
+	}
+	return hits, misses
 }
 
 // Edge is the Wu-Palmer edge-based measure:

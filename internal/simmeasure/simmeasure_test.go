@@ -1,7 +1,10 @@
 package simmeasure
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +207,111 @@ func TestSimPropertyRandomPairs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wordSample draws a seeded sample of distinct (sense, label id) pairs from
+// the embedded lexicon: random pairs, plus for every third draw one of the
+// concept's own lemmas, which are reported in own (they must score 1).
+func wordSample(net *semnet.Network, n int) (pairs [][2]int32, own map[[2]int32]bool) {
+	rng := rand.New(rand.NewSource(16))
+	own = make(map[[2]int32]bool)
+	seen := make(map[[2]int32]bool)
+	for len(pairs) < n {
+		s := semnet.DenseID(rng.Intn(net.Len()))
+		l := int32(rng.Intn(net.NumLabels()))
+		self := len(pairs)%3 == 0
+		if self {
+			id, _ := net.ConceptAt(s)
+			lemmas := net.Concept(id).Lemmas
+			l = net.LemmaDense(lemmas[rng.Intn(len(lemmas))])
+		}
+		p := [2]int32{s, l}
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		own[p] = self
+		pairs = append(pairs, p)
+	}
+	return pairs, own
+}
+
+// wantWordSim is Definition 8's per-word maximum written out over the
+// uncached pair measure: max(0, max_j SimDirectDense(s, s_j)).
+func wantWordSim(m *Measure, s semnet.DenseID, lemma int32) float64 {
+	best := 0.0
+	for _, sj := range m.Network().LemmaSensesDense(lemma) {
+		best = math.Max(best, m.SimDirectDense(s, sj))
+	}
+	return best
+}
+
+// TestWordSimMatchesPairMaximum: the word memo, its uncached twin, and the
+// maximum over the lemma's sense pairs agree bit for bit, both on the call
+// that fills an entry and on the later hit.
+func TestWordSimMatchesPairMaximum(t *testing.T) {
+	net := wordnet.Default()
+	pairs, own := wordSample(net, 600)
+	ref := New(net, EqualWeights())
+	m := New(net, EqualWeights())
+	for _, p := range pairs {
+		want := wantWordSim(ref, p[0], p[1])
+		if own[p] && want != 1 {
+			t.Fatalf("sense %d vs its own lemma %q scores %v, want 1", p[0], net.LabelName(p[1]), want)
+		}
+		fill := m.WordSimDense(p[0], p[1])
+		hit := m.WordSimDense(p[0], p[1])
+		direct := m.WordSimDirectDense(p[0], p[1])
+		for _, got := range []struct {
+			name string
+			v    float64
+		}{{"fill", fill}, {"hit", hit}, {"direct", direct}} {
+			if math.Float64bits(got.v) != math.Float64bits(want) {
+				t.Fatalf("(%d, %q) %s = %v, want %v", p[0], net.LabelName(p[1]), got.name, got.v, want)
+			}
+		}
+	}
+	if hits, misses := m.Stats(); hits != uint64(len(pairs)) || misses != uint64(len(pairs)) {
+		t.Errorf("Stats = %d hits, %d misses; want %d each", hits, misses, len(pairs))
+	}
+}
+
+// TestWordSimConcurrent: goroutines sharing one Measure, each sweeping the
+// sample twice from a different starting point, race fills and hits of the
+// same entries; every read must equal the pair maximum bit for bit, and
+// every lookup is counted exactly once. Run under -race.
+func TestWordSimConcurrent(t *testing.T) {
+	const workers = 8
+	net := wordnet.Default()
+	pairs, _ := wordSample(net, 400)
+	ref := New(net, EqualWeights())
+	want := make([]float64, len(pairs))
+	for i, p := range pairs {
+		want[i] = wantWordSim(ref, p[0], p[1])
+	}
+	m := New(net, EqualWeights())
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(pairs); k++ {
+				i := (k + w*len(pairs)/workers) % len(pairs)
+				if got := m.WordSimDense(pairs[i][0], pairs[i][1]); math.Float64bits(got) != math.Float64bits(want[i]) {
+					errs <- fmt.Sprintf("worker %d: (%d, %d) = %v, want %v", w, pairs[i][0], pairs[i][1], got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if hits, misses := m.Stats(); hits+misses != uint64(workers*2*len(pairs)) {
+		t.Errorf("Stats = %d hits + %d misses, want %d lookups", hits, misses, workers*2*len(pairs))
 	}
 }
