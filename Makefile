@@ -42,14 +42,16 @@ bench-snapshot:
 	exit $$status
 
 # bench-check re-runs the gated pipeline benchmark and fails when
-# BenchmarkPipelineBatch/shared-cache regresses more than 15% in ns/op
-# (or allocs/op) against the committed BENCH_pipeline.json. CI runs this
-# on every PR; refresh the baseline with bench-snapshot when a change
-# legitimately moves the number.
+# BenchmarkPipelineBatch/shared-cache (warm reprocess) or
+# BenchmarkPipelineBatch/cold-cache (fresh caches: every similarity memo
+# fills) regresses more than 15% in ns/op (or allocs/op) against the
+# committed BENCH_pipeline.json. CI runs this on every PR; refresh the
+# baseline with bench-snapshot when a change legitimately moves a number.
 bench-check:
 	$(GO) build -o /tmp/xsdf-benchjson ./cmd/xsdf-benchjson
 	$(GO) test -run '^$$' -bench BenchmarkPipelineBatch -benchmem -count 3 . | \
-	    /tmp/xsdf-benchjson -check BENCH_pipeline.json -bench BenchmarkPipelineBatch/shared-cache -max-regress 0.15
+	    /tmp/xsdf-benchjson -check BENCH_pipeline.json \
+	    -bench BenchmarkPipelineBatch/shared-cache,BenchmarkPipelineBatch/cold-cache -max-regress 0.15
 
 # load-smoke is the CI-sized load check: build the daemon and the
 # harness, serve on a local port, drive a short low-rate open-loop phase

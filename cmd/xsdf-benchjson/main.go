@@ -9,18 +9,21 @@
 //
 // With -check it becomes a regression gate instead: the fresh run on
 // stdin is compared against a committed baseline snapshot, and the
-// process exits non-zero when the gated benchmark's ns/op regressed by
+// process exits non-zero when any gated benchmark's ns/op regressed by
 // more than -max-regress (allocs/op is held to the same bound — an
 // allocation regression is a latency regression waiting for a slower
-// allocator):
+// allocator). -bench takes a comma-separated list; every row is checked
+// and reported before the verdict:
 //
 //	go test -run - -bench BenchmarkPipelineBatch -benchmem . | \
-//	    xsdf-benchjson -check BENCH_pipeline.json -bench BenchmarkPipelineBatch/shared-cache
+//	    xsdf-benchjson -check BENCH_pipeline.json \
+//	    -bench BenchmarkPipelineBatch/shared-cache,BenchmarkPipelineBatch/cold-cache
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +53,7 @@ type Snapshot struct {
 func main() {
 	var (
 		check      = flag.String("check", "", "baseline snapshot to compare against; exits 1 on regression")
-		benchName  = flag.String("bench", "BenchmarkPipelineBatch/shared-cache", "benchmark gated by -check")
+		benchNames = flag.String("bench", "BenchmarkPipelineBatch/shared-cache", "comma-separated benchmarks gated by -check")
 		maxRegress = flag.Float64("max-regress", 0.15, "allowed fractional ns/op (and allocs/op) regression for -check")
 	)
 	flag.Parse()
@@ -62,7 +65,7 @@ func main() {
 	}
 
 	if *check != "" {
-		if err := checkRegression(snap, *check, *benchName, *maxRegress); err != nil {
+		if err := checkRegression(snap, *check, strings.Split(*benchNames, ","), *maxRegress); err != nil {
 			fmt.Fprintf(os.Stderr, "xsdf-benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -139,12 +142,13 @@ func mergeRepeats(results []BenchResult) []BenchResult {
 	return merged
 }
 
-// checkRegression gates one benchmark of the fresh run against the
-// committed baseline. The comparison is by ratio, so it tolerates the
-// baseline and the run coming from different GOMAXPROCS suffixes (names
-// are matched with the -N procs suffix stripped) but NOT from different
-// hardware classes — re-record the baseline when the bench host changes.
-func checkRegression(snap Snapshot, baselinePath, benchName string, maxRegress float64) error {
+// checkRegression gates each named benchmark of the fresh run against the
+// committed baseline, reporting every row before returning the joined
+// failures. The comparison is by ratio, so it tolerates the baseline and
+// the run coming from different GOMAXPROCS suffixes (names are matched
+// with the -N procs suffix stripped) but NOT from different hardware
+// classes — re-record the baseline when the bench host changes.
+func checkRegression(snap Snapshot, baselinePath string, benchNames []string, maxRegress float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -152,6 +156,20 @@ func checkRegression(snap Snapshot, baselinePath, benchName string, maxRegress f
 	var base Snapshot
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %v", baselinePath, err)
+	}
+	var errs []error
+	for _, name := range benchNames {
+		if err := checkRow(snap, base, baselinePath, strings.TrimSpace(name), maxRegress); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// checkRow compares one benchmark's ns/op and allocs/op with the baseline.
+func checkRow(snap, base Snapshot, baselinePath, benchName string, maxRegress float64) error {
+	if benchName == "" {
+		return fmt.Errorf("empty benchmark name in -bench")
 	}
 	want, ok := findResult(base.Results, benchName)
 	if !ok {

@@ -1,11 +1,14 @@
 package semnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"repro/internal/lingproc"
+	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/lingproc"
 )
 
 // Builder assembles a Network incrementally. It is not safe for concurrent
@@ -64,8 +67,8 @@ func (b *Builder) PartOf(part, whole ConceptID) *Builder {
 }
 
 // Build validates the accumulated definitions and returns the finished
-// network: lemma index, hypernym depths, cumulative frequencies, and gloss
-// token caches are all precomputed here.
+// network: lemma index, hypernym depths, cumulative frequencies, and the
+// interned expanded glosses are all precomputed here.
 func (b *Builder) Build() (*Network, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -144,15 +147,12 @@ func (b *Builder) Build() (*Network, error) {
 			n.icD[d] = n.maxIC()
 		}
 	}
-	n.glossTokD = make([][]string, N)
-	for i, id := range n.order {
-		n.glossTokD[i] = tokenizeGloss(b.concepts[id].Gloss)
-	}
 	// Hot-path precomputations: ancestor lists (BFS visit order, plus a
-	// sorted copy for binary-search membership) for LCS, expanded glosses
-	// for the overlap measure. Both are pure functions of the now-frozen
-	// edge set, so computing them once here removes the per-call taxonomy
-	// walks and gloss concatenations that dominate similarity scoring.
+	// sorted copy for binary-search membership) for LCS, interned expanded
+	// glosses for the overlap measure. Both are pure functions of the
+	// now-frozen edge set, so computing them once here removes the per-call
+	// taxonomy walks and gloss concatenations that dominate similarity
+	// scoring.
 	n.ancListD = make([][]int32, N)
 	n.ancSortedD = make([][]int32, N)
 	for d := 0; d < N; d++ {
@@ -163,10 +163,7 @@ func (b *Builder) Build() (*Network, error) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		n.ancSortedD[d] = sorted
 	}
-	n.expGlossD = make([][]string, N)
-	for d := 0; d < N; d++ {
-		n.expGlossD[d] = n.expandGlossDense(DenseID(d))
-	}
+	n.buildGlossIndex()
 	n.lcsMemo.init()
 	return n, nil
 }
@@ -195,6 +192,72 @@ func (n *Network) buildLabelTable() {
 	n.labelOfD = make([]int32, len(n.order))
 	for i, id := range n.order {
 		n.labelOfD[i] = n.labelID[n.concepts[id].Label()]
+	}
+}
+
+// buildGlossIndex interns the gloss vocabulary and stores every concept's
+// expanded gloss — its own gloss tokens followed by those of its direct
+// neighbors in edge order, the "extended" gloss of the Banerjee-Pedersen
+// overlap — as (token id, position) occurrences sorted by token id, then
+// position. Each distinct gloss word is stemmed once; the interning maps
+// live only for the build. All occurrence lists share one backing array.
+func (n *Network) buildGlossIndex() {
+	N := len(n.order)
+	byWord := make(map[string]int32) // gloss word -> token id of its stem
+	byStem := make(map[string]int32) // stem -> token id
+	var own []int32                  // every concept's own tokens, concatenated
+	ownEnd := make([]int, N)         // own[ownEnd[d-1]:ownEnd[d]] belongs to d
+	for d, id := range n.order {
+		for _, w := range glossWords(n.concepts[id].Gloss) {
+			t, ok := byWord[w]
+			if !ok {
+				stem := lingproc.Stem(w)
+				if t, ok = byStem[stem]; !ok {
+					t = int32(len(n.glossVocab))
+					n.glossVocab = append(n.glossVocab, stem)
+					byStem[stem] = t
+				}
+				byWord[w] = t
+			}
+			own = append(own, t)
+		}
+		ownEnd[d] = len(own)
+	}
+	ownOf := func(d DenseID) []int32 {
+		start := 0
+		if d > 0 {
+			start = ownEnd[d-1]
+		}
+		return own[start:ownEnd[d]]
+	}
+	total := 0
+	for d := 0; d < N; d++ {
+		total += len(ownOf(DenseID(d)))
+		for _, e := range n.edgesD[d] {
+			total += len(ownOf(e.To))
+		}
+	}
+	flat := make([]GlossOcc, 0, total)
+	n.glossOccD = make([][]GlossOcc, N)
+	for d := 0; d < N; d++ {
+		start := len(flat)
+		add := func(toks []int32) {
+			for _, t := range toks {
+				flat = append(flat, GlossOcc{Tok: t, Pos: int32(len(flat) - start)})
+			}
+		}
+		add(ownOf(DenseID(d)))
+		for _, e := range n.edgesD[d] {
+			add(ownOf(e.To))
+		}
+		occ := flat[start:len(flat):len(flat)]
+		slices.SortFunc(occ, func(x, y GlossOcc) int {
+			if c := cmp.Compare(x.Tok, y.Tok); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.Pos, y.Pos)
+		})
+		n.glossOccD[d] = occ
 	}
 }
 
@@ -343,17 +406,29 @@ func (n *Network) computeCumFreq() {
 // for the gloss-overlap measure, dropping one-letter tokens and common stop
 // words. Stemming makes morphological variants ("actor"/"actors",
 // "recorded"/"recordings") overlap, as the Banerjee-Pedersen measure
-// assumes of its preprocessed glosses.
+// assumes of its preprocessed glosses. Build produces the same tokens
+// through its interning maps (buildGlossIndex).
 func tokenizeGloss(gloss string) []string {
+	words := glossWords(gloss)
+	for i, w := range words {
+		words[i] = lingproc.Stem(w)
+	}
+	return words
+}
+
+// glossWords returns the lower-cased content words of a gloss, unstemmed:
+// maximal runs of ASCII letters and digits, without one-letter words and
+// stop words.
+func glossWords(gloss string) []string {
 	fields := strings.FieldsFunc(strings.ToLower(gloss), func(r rune) bool {
 		return !(r >= 'a' && r <= 'z') && !(r >= '0' && r <= '9')
 	})
-	var out []string
+	out := fields[:0]
 	for _, f := range fields {
 		if len(f) <= 1 || isGlossStop(f) {
 			continue
 		}
-		out = append(out, lingproc.Stem(f))
+		out = append(out, f)
 	}
 	return out
 }

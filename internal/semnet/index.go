@@ -106,8 +106,19 @@ func (n *Network) EdgesDense(d DenseID) []DenseEdge { return n.edgesD[d] }
 // (always a known label: primary labels are lemmas).
 func (n *Network) LabelDense(d DenseID) int32 { return n.labelOfD[d] }
 
-// ExpandedGlossTokensDense is ExpandedGlossTokens for an in-range dense id.
-func (n *Network) ExpandedGlossTokensDense(d DenseID) []string { return n.expGlossD[d] }
+// GlossOcc is one token of a concept's expanded gloss: the interned id of
+// its stem and its position in the gloss. Tokens with equal ids are the
+// same stem, so gloss overlap compares integers, never strings.
+type GlossOcc struct {
+	Tok int32 // interned stem id, shared across the Network
+	Pos int32 // position in the expanded gloss (ExpandedGlossTokens order)
+}
+
+// GlossOccurrencesDense returns the expanded gloss of an in-range dense id
+// as one occurrence per token, sorted by token id and, within a token, by
+// position; positions run over 0..len-1 exactly once. The slice is shared
+// and read-only.
+func (n *Network) GlossOccurrencesDense(d DenseID) []GlossOcc { return n.glossOccD[d] }
 
 // LemmaDense returns the label id of the word or expression (matched
 // case-insensitively, as Senses matches it), or -1 when it names no

@@ -121,12 +121,11 @@ type Network struct {
 
 	// Dense representation, indexed by the position of each concept in the
 	// immutable insertion order. Built once in Build; never mutated.
-	index     *ConceptIndex
-	depthD    []int32       // hypernym depth; roots have depth 1
-	cumFreqD  []float64     // own freq + all hyponym descendants
-	icD       []float64     // precomputed -log(cumFreq/totalFreq)
-	edgesD    [][]DenseEdge // integer adjacency mirroring edges
-	glossTokD [][]string    // tokenized gloss cache
+	index    *ConceptIndex
+	depthD   []int32       // hypernym depth; roots have depth 1
+	cumFreqD []float64     // own freq + all hyponym descendants
+	icD      []float64     // precomputed -log(cumFreq/totalFreq)
+	edgesD   [][]DenseEdge // integer adjacency mirroring edges
 
 	// Label universe: every distinct lemma, sorted lexicographically, so
 	// dense label ids preserve string order. labelOfD maps each concept to
@@ -141,12 +140,13 @@ type Network struct {
 	// edge set: per-concept ancestor visit lists (BFS order, exactly the
 	// walk LCS historically did) plus sorted copies for O(log d) membership
 	// feed LCS without re-walking the hypernym DAG per call, and expanded
-	// glosses feed the gloss-overlap measure without re-concatenating
-	// neighbor glosses per pair. The network is immutable after Build, so
-	// these never invalidate.
-	ancListD   [][]int32  // BFS-from-concept visit order over hypernyms
-	ancSortedD [][]int32  // same contents, ascending (binary-search membership)
-	expGlossD  [][]string // own + direct-neighbor gloss tokens
+	// glosses, interned to token ids, feed the gloss-overlap kernel without
+	// re-concatenating neighbor glosses or comparing strings per pair. The
+	// network is immutable after Build, so these never invalidate.
+	ancListD   [][]int32    // BFS-from-concept visit order over hypernyms
+	ancSortedD [][]int32    // same contents, ascending (binary-search membership)
+	glossVocab []string     // interned gloss stems, indexed by token id
+	glossOccD  [][]GlossOcc // expanded gloss occurrences, sorted by (token, position)
 
 	lcsMemo lcsCache // concurrency-safe LCS memo (taxonomy walks dominate Sim cost)
 
@@ -337,34 +337,30 @@ func ancestorSetOf(list []ConceptID) map[ConceptID]struct{} {
 	return out
 }
 
-// GlossTokens returns the tokenized, stop-word-free gloss of the concept,
-// cached at build time for the gloss-overlap measure.
+// GlossTokens returns the tokenized, stop-word-free, stemmed gloss of the
+// concept (nil for unknown ids). It is computed on demand: the scoring
+// core reads the interned occurrence lists instead (GlossOccurrencesDense).
 func (n *Network) GlossTokens(id ConceptID) []string {
-	if d, ok := n.index.Dense(id); ok {
-		return n.glossTokD[d]
+	if c := n.concepts[id]; c != nil {
+		return tokenizeGloss(c.Gloss)
 	}
 	return nil
 }
 
 // ExpandedGlossTokens returns the concept's gloss tokens concatenated with
-// those of its direct neighbors over all relation kinds — the "extended"
-// gloss of the Banerjee-Pedersen overlap measure — precomputed at Build
-// time. Callers must treat the returned slice as read-only.
+// those of its direct neighbors over all relation kinds, in edge order —
+// the "extended" gloss of the Banerjee-Pedersen overlap measure. The
+// strings are rebuilt on demand from the interned occurrence list, so
+// each call returns a fresh slice; nil for unknown ids.
 func (n *Network) ExpandedGlossTokens(id ConceptID) []string {
-	if d, ok := n.index.Dense(id); ok {
-		return n.expGlossD[d]
+	d, ok := n.index.Dense(id)
+	if !ok {
+		return nil
 	}
-	return nil
-}
-
-// expandGlossDense assembles the extended gloss from the per-concept gloss
-// caches, in edge order (deterministic: edges are fixed at Build).
-func (n *Network) expandGlossDense(d DenseID) []string {
-	own := n.glossTokD[d]
-	out := make([]string, 0, len(own)*3)
-	out = append(out, own...)
-	for _, e := range n.edgesD[d] {
-		out = append(out, n.glossTokD[e.To]...)
+	occ := n.glossOccD[d]
+	out := make([]string, len(occ))
+	for _, o := range occ {
+		out[o.Pos] = n.glossVocab[o.Tok]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -36,6 +37,15 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]*metrics.Family
 		t.Fatalf("parsing exposition: %v", err)
 	}
 	return fams
+}
+
+// drain reads a response body to its end and closes it.
+func drain(t *testing.T, resp *http.Response) {
+	t.Helper()
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // counterValue returns the single sample of an unlabeled counter/gauge.
@@ -75,7 +85,10 @@ func TestMetricszGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	// Read each stream to its end before scraping: closing it early cuts
+	// the lines still in flight, and the handler counts lines (and the
+	// request) only as it writes them and returns.
+	drain(t, resp)
 
 	// A subtree-mode stream: three subtrees, the middle one guard-tripped
 	// by a tight per-subtree byte budget (emitted=2, failed=1, tripped=1).
@@ -86,7 +99,7 @@ func TestMetricszGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drain(t, resp)
 
 	fams := scrapeMetrics(t, ts)
 

@@ -97,7 +97,9 @@ func warmMeasure(tb testing.TB, sample int) (*Measure, []semnet.ConceptID, []sem
 // cached, Sim, SimDense and WordSimDense perform zero heap allocations per
 // lookup — the packed int-pair key and two-multiply shard mix replaced the
 // per-lookup maphash hasher and string conversions of the string-keyed
-// cache.
+// cache. It also pins the uncached computation: SimDirectDense over pairs
+// whose LCS is memoized allocates nothing either, because the gloss
+// overlap kernel runs on interned occurrence lists with pooled scratch.
 func TestWarmSimLookupAllocationFree(t *testing.T) {
 	m, ids, dense := warmMeasure(t, 40)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -119,6 +121,18 @@ func TestWarmSimLookupAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm SimDense sweep allocates %.1f times, want 0", allocs)
+	}
+	if !raceEnabled {
+		allocs = testing.AllocsPerRun(100, func() {
+			for i := range dense {
+				for j := range dense {
+					m.SimDirectDense(dense[i], dense[j])
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("uncached SimDirectDense sweep allocates %.1f times, want 0", allocs)
+		}
 	}
 	lemmas := make([]int32, len(dense))
 	for i, d := range dense {
@@ -148,3 +162,23 @@ func BenchmarkSimDenseWarm(b *testing.B) {
 		m.SimDense(dense[i%len(dense)], dense[(i*7+3)%len(dense)])
 	}
 }
+
+// BenchmarkSimDirectDense measures the uncached combined similarity — the
+// cost of one memo fill — averaged over every ordered pair of a 40-concept
+// sample with warm LCS memo entries, so the figure is dominated by the
+// gloss overlap kernel.
+func BenchmarkSimDirectDense(b *testing.B) {
+	m, _, dense := warmMeasure(b, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % (len(dense) * len(dense))
+		simSink += m.SimDirectDense(dense[k/len(dense)], dense[k%len(dense)])
+	}
+}
+
+// simSink keeps benchmarked results live.
+var simSink float64
+
+// raceEnabled reports a race-detector build (set in race_test.go).
+var raceEnabled bool

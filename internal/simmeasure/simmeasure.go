@@ -280,11 +280,16 @@ func (m *Measure) SimDirectDense(d1, d2 semnet.DenseID) float64 {
 }
 
 // simComputeDense evaluates the weighted combination for a canonical
-// (dense-ascending) pair.
+// (dense-ascending) pair. The edge and node terms share one LCS probe.
 func (m *Measure) simComputeDense(d1, d2 semnet.DenseID) float64 {
-	v := m.weights.Edge*m.edgeDense(d1, d2) +
-		m.weights.Node*m.nodeICDense(d1, d2) +
-		m.weights.Gloss*m.glossDense(d1, d2)
+	var edge, node float64
+	if lcs, ok := m.net.LCSDense(d1, d2); ok {
+		edge = m.edgeDense(d1, d2, lcs)
+		node = m.nodeICDense(d1, d2, lcs)
+	}
+	v := m.weights.Edge*edge +
+		m.weights.Node*node +
+		m.weights.Gloss*glossDense(m.net, d1, d2)
 	if v < 0 {
 		v = 0
 	} else if v > 1 {
@@ -310,12 +315,8 @@ func (m *Measure) simDirectSlow(c1, c2 semnet.ConceptID) float64 {
 	return v
 }
 
-// edgeDense is Edge over dense ids.
-func (m *Measure) edgeDense(c1, c2 semnet.DenseID) float64 {
-	lcs, ok := m.net.LCSDense(c1, c2)
-	if !ok {
-		return 0
-	}
+// edgeDense is Edge over dense ids, given their LCS.
+func (m *Measure) edgeDense(c1, c2, lcs semnet.DenseID) float64 {
 	d1, d2 := m.net.DepthDense(c1), m.net.DepthDense(c2)
 	if d1+d2 == 0 {
 		return 0
@@ -323,12 +324,8 @@ func (m *Measure) edgeDense(c1, c2 semnet.DenseID) float64 {
 	return 2 * float64(m.net.DepthDense(lcs)) / float64(d1+d2)
 }
 
-// nodeICDense is NodeIC over dense ids.
-func (m *Measure) nodeICDense(c1, c2 semnet.DenseID) float64 {
-	lcs, ok := m.net.LCSDense(c1, c2)
-	if !ok {
-		return 0
-	}
+// nodeICDense is NodeIC over dense ids, given their LCS.
+func (m *Measure) nodeICDense(c1, c2, lcs semnet.DenseID) float64 {
 	ic1, ic2 := m.net.ICDense(c1), m.net.ICDense(c2)
 	if ic1+ic2 <= 0 {
 		return 0
@@ -341,17 +338,6 @@ func (m *Measure) nodeICDense(c1, c2 semnet.DenseID) float64 {
 		return 1
 	}
 	return v
-}
-
-// glossDense is Gloss over dense ids.
-func (m *Measure) glossDense(c1, c2 semnet.DenseID) float64 {
-	g1 := m.net.ExpandedGlossTokensDense(c1)
-	g2 := m.net.ExpandedGlossTokensDense(c2)
-	if len(g1) == 0 || len(g2) == 0 {
-		return 0
-	}
-	raw := phraseOverlap(g1, g2)
-	return raw / (raw + glossSaturation)
 }
 
 // Stats reports word-memo hits and misses (WordSimDense lookups) since
@@ -412,79 +398,4 @@ func NodeIC(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
 		return 1
 	}
 	return v
-}
-
-// glossSaturation controls how quickly the raw extended-gloss-overlap score
-// saturates toward 1: a single shared word scores 1/(1+K) while a shared
-// three-word phrase (9 points) already reaches 9/(9+K). Banerjee-Pedersen's
-// raw score is unbounded; this hyperbolic squashing is the "normalized
-// extension" the paper calls for, and keeps the measure comparable in
-// magnitude to the edge- and node-based measures it is combined with.
-const glossSaturation = 8.0
-
-// Gloss is a normalized extended gloss overlap: the glosses of each concept
-// are expanded with the glosses of its directly related concepts, maximal
-// shared phrases are scored quadratically (a phrase of n consecutive shared
-// words scores n²), and the raw score is squashed into [0, 1) by
-// raw/(raw+K).
-func Gloss(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	g1 := net.ExpandedGlossTokens(c1)
-	g2 := net.ExpandedGlossTokens(c2)
-	if len(g1) == 0 || len(g2) == 0 {
-		return 0
-	}
-	raw := phraseOverlap(g1, g2)
-	return raw / (raw + glossSaturation)
-}
-
-// phraseOverlap computes the extended-gloss-overlap raw score: repeatedly
-// find the longest common consecutive word sequence between a and b, add
-// its squared length, remove it from consideration, until no overlap of
-// length >= 1 remains. A dynamic-programming pass finds the longest common
-// substring of tokens.
-func phraseOverlap(a, b []string) float64 {
-	// Work on copies with removable positions marked by "".
-	ac := append([]string(nil), a...)
-	bc := append([]string(nil), b...)
-	var score float64
-	for {
-		ai, bi, l := longestCommonRun(ac, bc)
-		if l == 0 {
-			return score
-		}
-		score += float64(l * l)
-		for k := 0; k < l; k++ {
-			ac[ai+k] = "\x00a" // sentinel: never matches
-			bc[bi+k] = "\x00b"
-		}
-	}
-}
-
-// longestCommonRun returns the start indexes and length of the longest
-// common consecutive run of equal tokens in a and b (0 when none).
-func longestCommonRun(a, b []string) (ai, bi, l int) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, 0, 0
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > l {
-					l = cur[j]
-					ai = i - l
-					bi = j - l
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return ai, bi, l
 }

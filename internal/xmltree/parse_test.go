@@ -2,6 +2,9 @@ package xmltree
 
 import (
 	"bytes"
+	"io"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -163,6 +166,40 @@ func TestWriteXMLEscaping(t *testing.T) {
 	}
 	if !strings.Contains(out, "x&lt;&amp;&gt;") {
 		t.Errorf("expected escapes in %s", out)
+	}
+}
+
+// TestWriteXMLAllocs bounds what serializing costs per value. The escapers
+// are built once and shared, so escaping a value allocates at most its
+// escaped copy; a replacer built per value costs several allocations and
+// a 256-entry lookup table each time.
+func TestWriteXMLAllocs(t *testing.T) {
+	const items = 100
+	root := &Node{Raw: "doc", Label: "doc", Kind: Element}
+	for i := 0; i < items; i++ {
+		item := &Node{Raw: "item", Label: "item", Kind: Element}
+		attr := &Node{Raw: "id", Label: "id", Kind: Attribute}
+		attr.AddChild(&Node{Raw: "v" + strconv.Itoa(i), Label: "v", Kind: Token})
+		item.AddChild(attr)
+		item.AddChild(&Node{Raw: "fish&chips", Label: "fish", Kind: Token})
+		root.AddChild(item)
+	}
+	tr := New(root)
+	const values = 2 * items
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := tr.WriteXML(io.Discard, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if perValue := allocs / values; perValue > 6 {
+		t.Errorf("WriteXML allocates %.1f times per value, want <= 6", perValue)
+	}
+	// AllocsPerRun makes 21 calls (one warm-up).
+	if perValue := float64(after.TotalAlloc-before.TotalAlloc) / (21 * values); perValue > 512 {
+		t.Errorf("WriteXML allocates %.0f bytes per value, want <= 512", perValue)
 	}
 }
 
