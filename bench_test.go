@@ -124,8 +124,6 @@ func evaluateConfig(r *experiments.Runner, opts disambig.Options) eval.PRF {
 func BenchmarkAblationBagOfWords(b *testing.B) {
 	r := runner()
 	sphereOpts := disambig.Options{Radius: 2, Method: disambig.ConceptBased, SimWeights: simmeasure.EqualWeights()}
-	flatOpts := sphereOpts
-	flatOpts.VectorSim = func(a, v sphere.Vector) float64 { return sphere.Cosine(a, v) }
 	b.ResetTimer()
 	var fSphere, fFlat float64
 	for i := 0; i < b.N; i++ {

@@ -12,14 +12,15 @@ import (
 
 // maxWarmAllocsPerNode is the steady-state allocation budget for
 // reprocessing a document against warm framework caches. The integer-ID
-// scoring core runs the warm path allocation-free (pooled context
-// scratch, int-keyed cache hits, memoized preprocessing); what remains
-// is per-run bookkeeping — the run value, Result, stage timings, the
-// disambiguator — amortized over the document's nodes. Measured ~2.6
-// allocs/node; the budget leaves headroom for runtime jitter while still
-// catching any per-node allocation creeping back into the hot path
-// (the string-keyed core sat in the hundreds per node).
-const maxWarmAllocsPerNode = 6.0
+// scoring core runs the warm path allocation-free (pooled document table
+// and context scratch, int-keyed cache hits, memoized preprocessing);
+// what remains is per-run bookkeeping — the run value, Result, stage
+// timings, the disambiguator — amortized over the document's nodes.
+// Measured 2.64 allocs/node; the budget leaves headroom for runtime jitter
+// while still catching a per-document table built unpooled (5.86) or any
+// per-node allocation creeping back into the hot path (the string-keyed
+// core sat in the hundreds per node).
+const maxWarmAllocsPerNode = 3.5
 
 // TestWarmSteadyStateAllocsPerNode is the allocation-regression gate for
 // the scoring hot path: with caches warm, reprocessing the same document

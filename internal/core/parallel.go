@@ -25,7 +25,7 @@ func (f *Framework) ProcessTrees(trees []*xmltree.Tree, workers int) ([]*Result,
 // immutable and shared, and all workers memoize into the framework's
 // shared similarity/vector cache (sharded locks), so repeated vocabulary
 // across documents is scored once for the whole batch. Per-document state
-// is limited to the disambiguator's node-context memo.
+// is limited to the disambiguation run's pooled document table.
 //
 // Failure semantics: each document succeeds or fails independently.
 // Results are in input order; a slot is nil exactly when that document

@@ -176,8 +176,8 @@ func stageSelect(_ context.Context, r *run) (int, error) {
 }
 
 // stageDisambiguate is modules 3 + 4: sphere context construction and
-// semantic disambiguation. The disambiguator is per-document (it memoizes
-// per-node contexts keyed by node pointer) but draws on the
+// semantic disambiguation. The disambiguator is per-document (its run
+// resolves the document into a pooled table) but draws on the
 // framework-shared similarity and vector caches. The Result is built here
 // even when ApplyReport fails, so a degraded abort hands back the partial
 // accounting.

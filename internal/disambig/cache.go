@@ -59,12 +59,12 @@ type pairKey struct {
 
 type vecShard struct {
 	mu sync.RWMutex
-	m  map[vecKey]sphere.Vector
+	m  map[vecKey]normedVector
 }
 
 type pairShard struct {
 	mu sync.RWMutex
-	m  map[pairKey]sphere.Vector
+	m  map[pairKey]normedVector
 }
 
 // NewCache returns an empty cache over net with the given similarity
@@ -76,10 +76,10 @@ func NewCache(net *semnet.Network, w simmeasure.Weights) *Cache {
 	}
 	c.scratch.New = func() any { return new(sphere.ConceptScratch) }
 	for i := range c.vecs {
-		c.vecs[i].m = make(map[vecKey]sphere.Vector)
+		c.vecs[i].m = make(map[vecKey]normedVector)
 	}
 	for i := range c.pairs {
-		c.pairs[i].m = make(map[pairKey]sphere.Vector)
+		c.pairs[i].m = make(map[pairKey]normedVector)
 	}
 	return c
 }
@@ -106,6 +106,12 @@ func (c *Cache) ConceptVector(id semnet.ConceptID, d int) sphere.Vector {
 
 // ConceptVectorDense is ConceptVector keyed by dense id.
 func (c *Cache) ConceptVectorDense(id semnet.DenseID, d int) sphere.Vector {
+	return c.conceptVector(id, d).Vector
+}
+
+// conceptVector is ConceptVectorDense with the vector's squared norm,
+// summed once when the entry is filled.
+func (c *Cache) conceptVector(id semnet.DenseID, d int) normedVector {
 	key := vecKey{c: id, d: int32(d)}
 	sh := &c.vecs[semnet.MixPair(id, semnet.DenseID(d))%vecShardCount]
 	sh.mu.RLock()
@@ -117,7 +123,7 @@ func (c *Cache) ConceptVectorDense(id semnet.DenseID, d int) sphere.Vector {
 	}
 	c.vecMisses.Add(1)
 	s := c.scratch.Get().(*sphere.ConceptScratch)
-	v = sphere.ConceptVectorInto(c.net, id, d, s).Clone()
+	v = normed(sphere.ConceptVectorInto(c.net, id, d, s).Clone())
 	c.scratch.Put(s)
 	sh.mu.Lock()
 	sh.m[key] = v
@@ -142,6 +148,12 @@ func (c *Cache) PairVector(p, q semnet.ConceptID, d int) sphere.Vector {
 // canonicalized to dense-ascending order for both the key and the
 // computation — cached and bypass paths fold weights in one order.
 func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
+	return c.pairVector(p, q, d).Vector
+}
+
+// pairVector is PairVectorDense with the vector's squared norm, summed
+// once when the entry is filled.
+func (c *Cache) pairVector(p, q semnet.DenseID, d int) normedVector {
 	if q < p {
 		p, q = q, p
 	}
@@ -156,7 +168,7 @@ func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
 	}
 	c.vecMisses.Add(1)
 	s := c.scratch.Get().(*sphere.ConceptScratch)
-	v = sphere.CombinedConceptVectorInto(c.net, p, q, d, s).Clone()
+	v = normed(sphere.CombinedConceptVectorInto(c.net, p, q, d, s).Clone())
 	c.scratch.Put(s)
 	sh.mu.Lock()
 	sh.m[key] = v
@@ -165,10 +177,13 @@ func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
 }
 
 // CacheStats is a point-in-time snapshot of the shared cache counters, for
-// observability and effectiveness tests. SimHits and SimMisses count word
-// lookups (Measure.WordSimDense: one per candidate sense and context
-// token), not sense-pair probes. Counters are atomics: exact in serial
-// runs, approximate snapshots under concurrency.
+// observability and effectiveness tests. SimHits and SimMisses count
+// shared word-memo reads (Measure.WordSimDense), not sense-pair probes: on
+// the document path one per (candidate sense, context lemma) per document,
+// since the document's word matrix answers repeats, or one per read for a
+// document above the matrix cap; on the per-node path one per candidate
+// sense and context token. Counters are atomics: exact in serial runs,
+// approximate snapshots under concurrency.
 type CacheStats struct {
 	SimHits, SimMisses       uint64
 	VectorHits, VectorMisses uint64

@@ -29,9 +29,16 @@ const linkedDoc = `<root>
   <notes><entry idref="c1"><subject>kelly</subject><topic>play</topic></entry></notes>
 </root>`
 
-// goldenTargets returns a processed tree plus every node a pipeline run
-// would consider (elements, attributes, tokens all included).
+// goldenTargets returns every node of the processed golden tree — what a
+// pipeline run would consider (elements, attributes, tokens all included).
 func goldenTargets(t *testing.T, followLinks bool) []*xmltree.Node {
+	t.Helper()
+	return goldenTree(t, followLinks).Nodes()
+}
+
+// goldenTree parses and processes linkedDoc, resolving its hyperlink when
+// followLinks is set.
+func goldenTree(t *testing.T, followLinks bool) *xmltree.Tree {
 	t.Helper()
 	tr := parse(t, linkedDoc)
 	if followLinks {
@@ -39,7 +46,7 @@ func goldenTargets(t *testing.T, followLinks bool) []*xmltree.Node {
 			t.Fatalf("links: %d %v", n, err)
 		}
 	}
-	return tr.Nodes()
+	return tr
 }
 
 // TestGoldenCachedVsBypass asserts that the fully-cached scoring path and
@@ -88,8 +95,8 @@ func TestGoldenCachedVsBypass(t *testing.T) {
 						t.Errorf("node %q: cached score %.17g, bypass %.17g", n.Label, sc.Score, sb.Score)
 					}
 					// Re-score the winner through the public per-candidate
-					// APIs: the memoized context must return the same
-					// numbers as the first call.
+					// APIs: a context rebuilt per call must return the same
+					// numbers every time.
 					if len(sc.Concepts) == 1 {
 						if a, b := cached.ConceptScore(sc.Concepts[0], n), cached.ConceptScore(sc.Concepts[0], n); a != b {
 							t.Errorf("node %q: ConceptScore unstable across calls: %g vs %g", n.Label, a, b)
@@ -166,10 +173,10 @@ func TestSharedCacheAcrossDocuments(t *testing.T) {
 }
 
 // TestSharedDisambiguatorConcurrent shares ONE Disambiguator (and so one
-// cache and one node-context memo) across goroutines disambiguating the
-// same targets, and checks every goroutine sees the serial answers. Run
-// under -race this is the regression test for the latent data race the
-// per-document unsynchronized maps used to carry.
+// cache) across goroutines disambiguating the same targets, and checks
+// every goroutine sees the serial answers. Run under -race this is the
+// regression test for the latent data race the per-document
+// unsynchronized maps used to carry.
 func TestSharedDisambiguatorConcurrent(t *testing.T) {
 	net := wordnet.Default()
 	opts := Options{Radius: 2, Method: Combined, SimWeights: simmeasure.EqualWeights(),

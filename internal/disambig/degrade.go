@@ -189,36 +189,47 @@ func degradeThrough(b *budget, ctx context.Context) bool {
 	return b != nil && errors.Is(ctx.Err(), context.DeadlineExceeded)
 }
 
-// nodeAt scores one target at the given ladder level.
-func (d *Disambiguator) nodeAt(x *xmltree.Node, lvl xsdferrors.DegradationLevel) (Sense, bool) {
-	switch lvl {
-	case xsdferrors.DegradeFirstSense:
+// nodeAt scores one target at the given ladder level: on the document
+// table when the target is in it, through the per-node path otherwise.
+func (d *Disambiguator) nodeAt(x *xmltree.Node, lvl xsdferrors.DegradationLevel, t *docTable, s *ctxScratch) (Sense, bool) {
+	method := d.opts.Method
+	if lvl == xsdferrors.DegradeConceptOnly {
+		method = ConceptBased
+	}
+	p, inTable := t.position(x)
+	switch {
+	case lvl == xsdferrors.DegradeFirstSense && inTable:
+		return d.firstSenseOf(t.lemmas[t.lemOff[p]:t.lemOff[p+1]])
+	case lvl == xsdferrors.DegradeFirstSense:
 		return d.firstSense(x)
-	case xsdferrors.DegradeConceptOnly:
-		return d.nodeWith(x, ConceptBased)
+	case inTable:
+		return d.nodeInDoc(t, p, method, s)
 	default:
-		return d.nodeWith(x, d.opts.Method)
+		return d.nodeWith(x, method)
 	}
 }
 
 // firstSense is the ladder's last rung: each token of the label gets its
 // most frequent sense (semnet.Senses is frequency-ordered, so index 0 is
-// the MFS baseline) with no context scoring at all. The score is 1 when
-// every token is monosemous — the same certainty full scoring reports —
-// and 0 otherwise, marking an evidence-free pick.
+// the MFS baseline) with no context scoring at all.
 func (d *Disambiguator) firstSense(x *xmltree.Node) (Sense, bool) {
-	tokens := x.Tokens
-	if len(tokens) == 0 {
-		tokens = []string{x.Label}
-	}
+	var buf [4]int32
+	return d.firstSenseOf(d.appendLemmas(buf[:0], x))
+}
+
+// firstSenseOf is firstSense over the label ids of the label's tokens (-1
+// for unknown ones). The score is 1 when every known token is monosemous —
+// the same certainty full scoring reports — and 0 otherwise, marking an
+// evidence-free pick.
+func (d *Disambiguator) firstSenseOf(lemmas []int32) (Sense, bool) {
 	var cs []semnet.ConceptID
 	allMono := true
-	for _, t := range tokens {
-		s := d.senses(t)
-		if len(s) == 0 {
+	for _, l := range lemmas {
+		if l < 0 {
 			continue
 		}
-		cs = append(cs, s[0])
+		s := d.net.LemmaSensesDense(l)
+		cs = append(cs, d.conceptID(s[0]))
 		if len(s) > 1 {
 			allMono = false
 		}

@@ -209,7 +209,7 @@ func TestFirstSenseRungScoresMonosemous(t *testing.T) {
 	if !ok {
 		t.Fatal("first-sense failed on known label")
 	}
-	if want := d.senses("kelly")[0]; s.Concepts[0] != want || s.Score != 0 {
+	if want := d.net.Senses("kelly")[0]; s.Concepts[0] != want || s.Score != 0 {
 		t.Errorf("polysemous first-sense = %v score %v, want %v score 0", s.Concepts, s.Score, want)
 	}
 }

@@ -7,6 +7,7 @@ package disambig
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -129,14 +130,15 @@ func (s Sense) ID() string {
 }
 
 // Disambiguator runs sense disambiguation for nodes of one document tree
-// against one semantic network. It memoizes similarity scores, semantic-
-// network sphere vectors (through a Cache, which may be shared across
-// documents), and per-node prepared contexts, so reusing one Disambiguator
-// across the nodes of a document — or calling the per-candidate scoring
-// APIs repeatedly for one node — costs each underlying computation once.
+// against one semantic network. Similarity scores and semantic-network
+// sphere vectors are memoized in a Cache, which may be shared across
+// documents; ApplyReport additionally resolves the document into a pooled
+// table for the length of the run, so one Disambiguator scores a whole
+// document at the cost of each underlying computation once.
 //
 // A Disambiguator is safe for concurrent use: all memos are concurrency-
-// safe and the semantic network is immutable. The only mutation it
+// safe, the semantic network is immutable, and per-run state travels down
+// the call chain, never through the Disambiguator. The only mutation it
 // performs is writing Sense/SenseScore into the target nodes handed to
 // Apply/ApplyContext; callers must not hand the same node to two
 // concurrent Apply calls.
@@ -145,17 +147,10 @@ type Disambiguator struct {
 	opts  Options
 	cache *Cache
 
-	// ctxMemo memoizes prepareContext per target node (keyed by node
-	// pointer), making the public per-candidate APIs (ConceptScore,
-	// ContextScore, ...) linear instead of accidentally quadratic. It
-	// assumes the tree's structure, labels, and tokens stay fixed while
-	// the Disambiguator is in use — true for the pipeline, which finishes
-	// linguistic pre-processing before disambiguation starts.
-	ctxMemo sync.Map // *xmltree.Node -> *preparedContext
-
 	// bypassCache, set only by differential tests, recomputes every
-	// similarity, vector, and context from scratch on each call; golden
-	// tests assert the cached and bypass paths agree bit for bit.
+	// similarity, vector, and context from scratch on each call and
+	// scores every node through the per-node build; golden tests assert
+	// the cached and bypass paths agree bit for bit.
 	bypassCache bool
 }
 
@@ -201,71 +196,53 @@ type contextNode struct {
 
 // preparedContext is the fully-resolved sphere context of one target node:
 // the Definition 6–7 context vector, one label id per member token (-1
-// when the token names no concept), and the sphere size.
+// when the token names no concept), and the sphere size. On the document
+// path the lemma ids are the table's and tab holds the word matrix; the
+// per-node build owns its lemma ids and leaves tab nil.
 type preparedContext struct {
-	vec    sphere.Vector
+	vec    normedVector
 	ctx    []contextNode
 	lemmas []int32
+	tab    *docTable
 	size   int
 }
 
-// ctxScratch bundles the reusable buffers of one context build: the sphere
-// BFS scratch, the vector fold scratch, the per-member dimension slice,
-// and the preparedContext whose slices are reused across nodes. nodeWith
-// draws one from ctxScratchPool per node, so the per-node steady state of
-// Apply allocates nothing for context construction.
+// normedVector is a context vector with its squared norm, summed once in
+// ascending dimension order (sphere.SquaredNorm), so a cosine is one dot
+// product over the shared dimensions.
+type normedVector struct {
+	sphere.Vector
+	norm2 float64
+}
+
+func normed(v sphere.Vector) normedVector {
+	return normedVector{Vector: v, norm2: sphere.SquaredNorm(v)}
+}
+
+// ctxScratch bundles the reusable buffers of context builds on both
+// paths: the pointer BFS and per-member dimensions of the per-node build,
+// the integer BFS of the document path, the shared vector fold, and the
+// preparedContext whose slices are reused. Each scoring goroutine draws
+// one from ctxScratchPool, so the warm steady state allocates nothing for
+// context construction.
 type ctxScratch struct {
 	sph        sphere.Scratch
+	pos        sphere.PosScratch
 	vec        sphere.VecScratch
 	memberDims []int32
+	lemmas     []int32
 	pc         preparedContext
 }
 
 var ctxScratchPool = sync.Pool{New: func() any { return new(ctxScratch) }}
 
-// prepareContext returns the memoized sphere context of a target node,
-// building it on first use — the path of the public per-candidate APIs
-// (ConceptScore, ContextScore, Candidates), which may revisit one node
-// many times. The center node is excluded from the scoring context (its
-// self-similarity is a constant offset for every candidate, cf.
-// Definition 8) but participates in the vector per the Figure 7
-// convention.
-func (d *Disambiguator) prepareContext(x *xmltree.Node) *preparedContext {
-	if d.bypassCache {
-		return d.buildContext(x)
-	}
-	if v, ok := d.ctxMemo.Load(x); ok {
-		return v.(*preparedContext)
-	}
-	pc := d.buildContext(x)
-	if v, loaded := d.ctxMemo.LoadOrStore(x, pc); loaded {
-		return v.(*preparedContext) // a concurrent builder won; both are identical
-	}
-	return pc
-}
-
-// buildContext builds an owned preparedContext (for memoization or cache
-// bypass): the build runs through a private scratch that is deliberately
-// not pooled, so the returned context's slices alias nothing reused.
-func (d *Disambiguator) buildContext(x *xmltree.Node) *preparedContext {
-	s := new(ctxScratch)
-	pc := *d.buildContextInto(x, s)
-	return &pc
-}
-
-// contextFor resolves the context for one nodeWith call: through the
-// reusable scratch on the hot path, through the memo for public API calls
-// (s == nil).
-func (d *Disambiguator) contextFor(x *xmltree.Node, s *ctxScratch) *preparedContext {
-	if s != nil {
-		return d.buildContextInto(x, s)
-	}
-	return d.prepareContext(x)
-}
-
-// buildContextInto runs the sphere BFS once and derives the membership,
-// the context vector, and the per-member token lemma ids from that single
-// walk, reusing every buffer in s. The result aliases s.
+// buildContextInto is the per-node context build — the single-node APIs'
+// path and the bypass oracle. It runs the sphere BFS once and derives the
+// membership, the context vector, and the per-member token lemma ids from
+// that single walk, reusing every buffer in s. The center node is excluded
+// from the scoring context (its self-similarity is a constant offset for
+// every candidate, cf. Definition 8) but participates in the vector per
+// the Figure 7 convention. The result aliases s.
 func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *preparedContext {
 	members := sphere.SphereInto(x, d.opts.Radius, d.opts.FollowLinks, &s.sph)
 	if cap(s.memberDims) < len(members) {
@@ -273,10 +250,11 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 	}
 	md := s.memberDims[:len(members)]
 	pc := &s.pc
-	pc.vec = sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md)
+	pc.vec = normed(sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md))
 	pc.size = len(members)
 	pc.ctx = pc.ctx[:0]
-	pc.lemmas = pc.lemmas[:0]
+	pc.tab = nil
+	s.lemmas = s.lemmas[:0]
 	for i, m := range members {
 		if m.Node == x {
 			continue
@@ -285,31 +263,18 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 		if md[i] >= 0 {
 			w = pc.vec.WeightOf(md[i])
 		}
-		start := int32(len(pc.lemmas))
-		if toks := m.Node.Tokens; len(toks) > 0 {
-			for _, t := range toks {
-				pc.lemmas = append(pc.lemmas, d.lemmaDense(t))
-			}
-		} else {
-			pc.lemmas = append(pc.lemmas, d.lemmaDense(m.Node.Label))
-		}
-		pc.ctx = append(pc.ctx, contextNode{weight: w, lemmaStart: start, lemmaEnd: int32(len(pc.lemmas))})
+		start := int32(len(s.lemmas))
+		s.lemmas = d.appendLemmas(s.lemmas, m.Node)
+		pc.ctx = append(pc.ctx, contextNode{weight: w, lemmaStart: start, lemmaEnd: int32(len(s.lemmas))})
 	}
+	pc.lemmas = s.lemmas
 	return pc
 }
 
-// senses looks a token up in the semantic network, through the
-// fault-injection seam: an injected lookup fault behaves like a failed
-// semantic-network backend (no senses) without touching the network.
-func (d *Disambiguator) senses(tok string) []semnet.ConceptID {
-	if faultinject.DropLookup() {
-		return nil
-	}
-	return d.net.Senses(tok)
-}
-
-// lemmaDense is the dense form of the senses lookup: the token's label id,
-// or -1 when it names no concept or an injected lookup fault fires.
+// lemmaDense resolves a token to its label id, or -1 when it names no
+// concept or an injected lookup fault fires: the fault-injection seam
+// makes a failed lookup behave like a failed semantic-network backend
+// without touching the network.
 func (d *Disambiguator) lemmaDense(tok string) int32 {
 	if faultinject.DropLookup() {
 		return -1
@@ -317,14 +282,77 @@ func (d *Disambiguator) lemmaDense(tok string) int32 {
 	return d.net.LemmaDense(tok)
 }
 
-// sensesDense returns the token's senses in dense ids through lemmaDense;
-// the slice is the network's frozen frequency-ordered sense list
-// (read-only), nil when the lookup fails.
-func (d *Disambiguator) sensesDense(tok string) []semnet.DenseID {
-	if l := d.lemmaDense(tok); l >= 0 {
-		return d.net.LemmaSensesDense(l)
+// appendLemmas appends the label id of each of x's tokens — of its label
+// when pre-processing left no tokens — to dst.
+func (d *Disambiguator) appendLemmas(dst []int32, x *xmltree.Node) []int32 {
+	if len(x.Tokens) == 0 {
+		return append(dst, d.lemmaDense(x.Label))
 	}
-	return nil
+	for _, t := range x.Tokens {
+		dst = append(dst, d.lemmaDense(t))
+	}
+	return dst
+}
+
+// reading is one target token's candidate senses (the network's frozen
+// frequency-ordered list, read-only) with the document-matrix row of its
+// first sense, -1 off the matrix.
+type reading struct {
+	senses []semnet.DenseID
+	row    int32
+}
+
+// rowOf returns the matrix row of the token's k-th sense.
+func (r reading) rowOf(k int) int32 {
+	if r.row < 0 {
+		return -1
+	}
+	return r.row + int32(k)
+}
+
+// readings resolves the per-node path's candidate readings: the first
+// token (the label when there are none) and, for a compound label, the
+// second.
+func (d *Disambiguator) readings(x *xmltree.Node) (tok0, tok1 reading, compound bool) {
+	switch len(x.Tokens) {
+	case 0:
+		return d.reading(x.Label), reading{row: -1}, false
+	case 1:
+		return d.reading(x.Tokens[0]), reading{row: -1}, false
+	default:
+		return d.reading(x.Tokens[0]), d.reading(x.Tokens[1]), true
+	}
+}
+
+func (d *Disambiguator) reading(tok string) reading {
+	r := reading{row: -1}
+	if l := d.lemmaDense(tok); l >= 0 {
+		r.senses = d.net.LemmaSensesDense(l)
+	}
+	return r
+}
+
+// pick narrows a target's readings to what is scored: the sense pairs of a
+// compound label whose two tokens are both known, else the senses of its
+// one known token (b empty). ok is false when no token is known.
+func pick(tok0, tok1 reading, compound bool) (a, b reading, ok bool) {
+	switch {
+	case !compound || len(tok1.senses) == 0:
+		if len(tok0.senses) == 0 {
+			return tok1, reading{row: -1}, len(tok1.senses) > 0
+		}
+		return tok0, reading{row: -1}, true
+	case len(tok0.senses) == 0:
+		return tok1, reading{row: -1}, true
+	default:
+		return tok0, tok1, true
+	}
+}
+
+// monosemous is the outcome of a lone single-sense reading, which needs no
+// context (Assumption 4: monosemous labels are unambiguous).
+func (d *Disambiguator) monosemous(a reading) Sense {
+	return Sense{Concepts: []semnet.ConceptID{d.conceptID(a.senses[0])}, Score: 1}
 }
 
 // conceptID converts a dense id back to its ConceptID for result Senses.
@@ -333,30 +361,44 @@ func (d *Disambiguator) conceptID(dc semnet.DenseID) semnet.ConceptID {
 	return id
 }
 
-// denseCandidate resolves public-API ConceptIDs into the dense candidate
-// buffer; ids outside the network become the -1 sentinel (they score 0
-// against every known concept, exactly as the string-keyed measures did).
-func (d *Disambiguator) denseCandidate(buf []semnet.DenseID, ids ...semnet.ConceptID) []semnet.DenseID {
-	buf = buf[:0]
-	for _, c := range ids {
-		dc, ok := d.net.Dense(c)
+// candidate is one scored reading of a target: a sense, or a sense pair
+// for a compound label (Eq. 10/12), each with its document-matrix row (-1
+// off the matrix).
+type candidate struct {
+	ids  [2]semnet.DenseID
+	rows [2]int32
+	n    int
+}
+
+// publicCandidate resolves public-API ConceptIDs into a candidate; ids
+// outside the network become the -1 sentinel (they score 0 against every
+// known concept, exactly as the string-keyed measures did).
+func (d *Disambiguator) publicCandidate(ids ...semnet.ConceptID) candidate {
+	c := candidate{rows: [2]int32{-1, -1}, n: len(ids)}
+	for i, id := range ids {
+		dc, ok := d.net.Dense(id)
 		if !ok {
 			dc = -1
 		}
-		buf = append(buf, dc)
+		c.ids[i] = dc
 	}
-	return buf
+	return c
 }
 
-// wordSim returns max_j Sim(s, s_j) over the senses of a context lemma
-// through the shared word memo, or straight from the uncached computation
-// in bypass mode. Cached reads pass the cache-poison fault point, which
+// wordSim returns max_j Sim(s, s_j) over the senses of a context lemma,
+// from the document matrix cell when one is given, else through the
+// shared word memo, or straight from the uncached computation in bypass
+// mode. Every cached read passes the cache-poison fault point, which
 // chaos tests use to prove that a corrupted score degrades answer quality,
-// never answer shape; a poisoned value replaces the read and never enters
-// the memo. The -1 sentinel (a public-API candidate outside the network)
-// scores 0, the exact value the component measures produce for unknown
-// concepts.
-func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32) float64 {
+// never answer shape; a poisoned value replaces the read and enters
+// neither the matrix nor the memo. The -1 sentinel (a public-API candidate
+// outside the network) scores 0, the exact value the component measures
+// produce for unknown concepts.
+//
+// A cell holds the complemented bits of the memo's value, so a zeroed
+// cell reads as empty; a value whose complement is zero is never cached.
+// Workers racing on one cell store identical bits.
+func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint64) float64 {
 	if d.bypassCache {
 		if s < 0 {
 			return 0
@@ -369,22 +411,32 @@ func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32) float64 {
 	if s < 0 {
 		return 0
 	}
-	return d.cache.Measure().WordSimDense(s, lemma)
+	if cell != nil {
+		if b := cell.Load(); b != 0 {
+			return math.Float64frombits(^b)
+		}
+	}
+	v := d.cache.Measure().WordSimDense(s, lemma)
+	if cell != nil {
+		cell.Store(^math.Float64bits(v))
+	}
+	return v
 }
 
 // simToContextNode returns max_j Sim(s, s_j^i) over the senses of context
-// node cn. A compound context label is processed like a compound target
-// (§3.5.1 note): the max over token-sense pairs of the average similarity,
-// which factorizes into the average of per-token maxima — one word lookup
-// per token.
-func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, cn contextNode) float64 {
+// node cn, for the candidate sense s at matrix row row. A compound context
+// label is processed like a compound target (§3.5.1 note): the max over
+// token-sense pairs of the average similarity, which factorizes into the
+// average of per-token maxima — one word lookup per token.
+func (d *Disambiguator) simToContextNode(s semnet.DenseID, row int32, pc *preparedContext, cn contextNode) float64 {
 	var sum float64
 	var counted int
-	for _, l := range pc.lemmas[cn.lemmaStart:cn.lemmaEnd] {
+	for i := cn.lemmaStart; i < cn.lemmaEnd; i++ {
+		l := pc.lemmas[i]
 		if l < 0 {
 			continue
 		}
-		sum += d.wordSim(s, l)
+		sum += d.wordSim(s, l, pc.cell(row, i))
 		counted++
 	}
 	if counted == 0 {
@@ -395,12 +447,9 @@ func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, 
 
 // ConceptScore computes Concept_Score(s_p, S_d(x), S̄N) (Definition 8): the
 // average over context nodes of the weighted maximum similarity between the
-// candidate sense and the context node's senses. The node's context is
-// memoized, so per-candidate calls cost one pass over the context, not one
-// sphere construction each.
+// candidate sense and the context node's senses.
 func (d *Disambiguator) ConceptScore(sp semnet.ConceptID, x *xmltree.Node) float64 {
-	var buf [2]semnet.DenseID
-	return d.conceptScoreCtx(d.denseCandidate(buf[:0], sp), d.prepareContext(x))
+	return d.scoreNode(ConceptBased, x, d.publicCandidate(sp))
 }
 
 // ConceptScoreCompound computes Eq. 10 for a compound target label: the
@@ -408,21 +457,42 @@ func (d *Disambiguator) ConceptScore(sp semnet.ConceptID, x *xmltree.Node) float
 // per-context-node similarity is the average of the individual
 // similarities.
 func (d *Disambiguator) ConceptScoreCompound(sp, sq semnet.ConceptID, x *xmltree.Node) float64 {
-	var buf [2]semnet.DenseID
-	return d.conceptScoreCtx(d.denseCandidate(buf[:0], sp, sq), d.prepareContext(x))
+	return d.scoreNode(ConceptBased, x, d.publicCandidate(sp, sq))
 }
 
-func (d *Disambiguator) conceptScoreCtx(candidate []semnet.DenseID, pc *preparedContext) float64 {
+// ContextScore computes Context_Score(s_p, S_d(x), SN) (Definition 10): the
+// vector similarity between the target's XML context vector and the
+// candidate sense's semantic-network context vector.
+func (d *Disambiguator) ContextScore(sp semnet.ConceptID, x *xmltree.Node) float64 {
+	return d.scoreNode(ContextBased, x, d.publicCandidate(sp))
+}
+
+// ContextScoreCompound computes Eq. 12: the candidate pair's combined
+// semantic-network sphere (union of the two sense spheres) against the
+// target's XML context vector.
+func (d *Disambiguator) ContextScoreCompound(sp, sq semnet.ConceptID, x *xmltree.Node) float64 {
+	return d.scoreNode(ContextBased, x, d.publicCandidate(sp, sq))
+}
+
+// scoreNode scores one candidate against x's context, built per node
+// through pooled scratch.
+func (d *Disambiguator) scoreNode(method Method, x *xmltree.Node, c candidate) float64 {
+	s := ctxScratchPool.Get().(*ctxScratch)
+	defer ctxScratchPool.Put(s)
+	return d.scoreAs(method, &c, d.buildContextInto(x, s))
+}
+
+func (d *Disambiguator) conceptScoreCtx(c *candidate, pc *preparedContext) float64 {
 	if pc.size == 0 {
 		return 0
 	}
 	var total float64
 	for _, cn := range pc.ctx {
 		var s float64
-		for _, c := range candidate {
-			s += d.simToContextNode(c, pc, cn)
+		for i := 0; i < c.n; i++ {
+			s += d.simToContextNode(c.ids[i], c.rows[i], pc, cn)
 		}
-		s /= float64(len(candidate))
+		s /= float64(c.n)
 		total += s * cn.weight
 	}
 	return total / float64(pc.size)
@@ -430,62 +500,44 @@ func (d *Disambiguator) conceptScoreCtx(candidate []semnet.DenseID, pc *prepared
 
 // conceptVectorD returns the cached semantic-network context vector of a
 // sense (empty for the -1 sentinel).
-func (d *Disambiguator) conceptVectorD(c semnet.DenseID) sphere.Vector {
+func (d *Disambiguator) conceptVectorD(c semnet.DenseID) normedVector {
 	if c < 0 {
-		return sphere.Vector{}
+		return normedVector{}
 	}
 	if d.bypassCache {
 		var s sphere.ConceptScratch
-		return sphere.ConceptVectorInto(d.net, c, d.opts.Radius, &s)
+		return normed(sphere.ConceptVectorInto(d.net, c, d.opts.Radius, &s))
 	}
-	return d.cache.ConceptVectorDense(c, d.opts.Radius)
+	return d.cache.conceptVector(c, d.opts.Radius)
 }
 
 // pairVectorD returns the cached combined concept vector of a compound
 // candidate pair (empty when either id is the -1 sentinel). The pair is
 // canonicalized to dense-ascending order so bypass and cached builds fold
 // weights identically.
-func (d *Disambiguator) pairVectorD(p, q semnet.DenseID) sphere.Vector {
+func (d *Disambiguator) pairVectorD(p, q semnet.DenseID) normedVector {
 	if p < 0 || q < 0 {
-		return sphere.Vector{}
+		return normedVector{}
 	}
 	if d.bypassCache {
 		if q < p {
 			p, q = q, p
 		}
 		var s sphere.ConceptScratch
-		return sphere.CombinedConceptVectorInto(d.net, p, q, d.opts.Radius, &s)
+		return normed(sphere.CombinedConceptVectorInto(d.net, p, q, d.opts.Radius, &s))
 	}
-	return d.cache.PairVectorDense(p, q, d.opts.Radius)
+	return d.cache.pairVector(p, q, d.opts.Radius)
 }
 
-// ContextScore computes Context_Score(s_p, S_d(x), SN) (Definition 10): the
-// vector similarity between the target's XML context vector and the
-// candidate sense's semantic-network context vector.
-func (d *Disambiguator) ContextScore(sp semnet.ConceptID, x *xmltree.Node) float64 {
-	var buf [2]semnet.DenseID
-	cand := d.denseCandidate(buf[:0], sp)
-	return d.opts.vectorSim()(d.prepareContext(x).vec, d.conceptVectorD(cand[0]))
-}
-
-// ContextScoreCompound computes Eq. 12: the candidate pair's combined
-// semantic-network sphere (union of the two sense spheres) against the
-// target's XML context vector.
-func (d *Disambiguator) ContextScoreCompound(sp, sq semnet.ConceptID, x *xmltree.Node) float64 {
-	var buf [2]semnet.DenseID
-	cand := d.denseCandidate(buf[:0], sp, sq)
-	return d.opts.vectorSim()(d.prepareContext(x).vec, d.pairVectorD(cand[0], cand[1]))
-}
-
-// scoreAs evaluates one candidate (1- or 2-sense, dense) under an explicit
-// method — the seam the degradation ladder uses to force concept-only
-// scoring (Definition 8) without touching the configured options.
-func (d *Disambiguator) scoreAs(method Method, candidate []semnet.DenseID, pc *preparedContext) float64 {
+// scoreAs evaluates one candidate under an explicit method — the seam the
+// degradation ladder uses to force concept-only scoring (Definition 8)
+// without touching the configured options.
+func (d *Disambiguator) scoreAs(method Method, c *candidate, pc *preparedContext) float64 {
 	switch method {
 	case ConceptBased:
-		return d.conceptScoreCtx(candidate, pc)
+		return d.conceptScoreCtx(c, pc)
 	case ContextBased:
-		return d.contextScoreCtx(candidate, pc)
+		return d.contextScoreCtx(c, pc)
 	default:
 		wc, wx := d.opts.ConceptWeight, d.opts.ContextWeight
 		if s := wc + wx; s > 0 {
@@ -493,19 +545,24 @@ func (d *Disambiguator) scoreAs(method Method, candidate []semnet.DenseID, pc *p
 		} else {
 			wc, wx = 0.5, 0.5
 		}
-		return wc*d.conceptScoreCtx(candidate, pc) + wx*d.contextScoreCtx(candidate, pc)
+		return wc*d.conceptScoreCtx(c, pc) + wx*d.contextScoreCtx(c, pc)
 	}
 }
 
-// contextScoreCtx is the context-based leg of scoreAs.
-func (d *Disambiguator) contextScoreCtx(candidate []semnet.DenseID, pc *preparedContext) float64 {
-	var cv sphere.Vector
-	if len(candidate) == 2 {
-		cv = d.pairVectorD(candidate[0], candidate[1])
+// contextScoreCtx is the context-based leg of scoreAs. With the default
+// cosine both norms are precomputed, so it costs one dot product; the
+// bypass oracle and the other measures run the generic function.
+func (d *Disambiguator) contextScoreCtx(c *candidate, pc *preparedContext) float64 {
+	var cv normedVector
+	if c.n == 2 {
+		cv = d.pairVectorD(c.ids[0], c.ids[1])
 	} else {
-		cv = d.conceptVectorD(candidate[0])
+		cv = d.conceptVectorD(c.ids[0])
 	}
-	return d.opts.vectorSim()(pc.vec, cv)
+	if d.opts.VectorSim == nil && !d.bypassCache {
+		return sphere.CosineWithNorms(pc.vec.Vector, cv.Vector, pc.vec.norm2, cv.norm2)
+	}
+	return d.opts.vectorSim()(pc.vec.Vector, cv.Vector)
 }
 
 // Node disambiguates a single target node: it enumerates candidate senses
@@ -516,156 +573,102 @@ func (d *Disambiguator) Node(x *xmltree.Node) (Sense, bool) {
 	return d.nodeWith(x, d.opts.Method)
 }
 
-// nodeWith is Node under an explicit method, the per-node entry point of
-// the degradation ladder's upper rungs. It scores through pooled scratch:
-// context construction and candidate scoring allocate nothing in the warm
-// steady state beyond the returned Sense.
+// nodeWith is Node under an explicit method: the per-node path, which the
+// degradation ladder's upper rungs also take for a target outside the
+// document table. It scores through pooled scratch: context construction
+// and candidate scoring allocate nothing in the warm steady state beyond
+// the returned Sense.
 func (d *Disambiguator) nodeWith(x *xmltree.Node, method Method) (Sense, bool) {
-	tok0 := x.Label
-	tok1 := ""
-	compound := false
-	switch len(x.Tokens) {
-	case 0:
-	case 1:
-		tok0 = x.Tokens[0]
-	default:
-		tok0, tok1 = x.Tokens[0], x.Tokens[1]
-		compound = true
-	}
-	if !compound {
-		senses := d.sensesDense(tok0)
-		if len(senses) == 0 {
-			return Sense{}, false
-		}
-		if len(senses) == 1 {
-			// Assumption 4: monosemous labels are unambiguous.
-			return Sense{Concepts: []semnet.ConceptID{d.conceptID(senses[0])}, Score: 1}, true
-		}
-		s := ctxScratchPool.Get().(*ctxScratch)
-		defer ctxScratchPool.Put(s)
-		pc := d.contextFor(x, s)
-		bestC, bestScore := d.bestSingle(senses, method, pc)
-		return Sense{Concepts: []semnet.ConceptID{d.conceptID(bestC)}, Score: bestScore}, true
-	}
-	sensesP := d.sensesDense(tok0)
-	sensesQ := d.sensesDense(tok1)
-	if len(sensesP) == 0 && len(sensesQ) == 0 {
+	a, b, ok := pick(d.readings(x))
+	if !ok {
 		return Sense{}, false
 	}
-	// If only one token is known, fall back to single-token candidates.
-	if len(sensesP) == 0 {
-		return d.singleTokenFallback(sensesQ, x, method)
-	}
-	if len(sensesQ) == 0 {
-		return d.singleTokenFallback(sensesP, x, method)
+	if len(b.senses) == 0 && len(a.senses) == 1 {
+		return d.monosemous(a), true
 	}
 	s := ctxScratchPool.Get().(*ctxScratch)
 	defer ctxScratchPool.Put(s)
-	pc := d.contextFor(x, s)
-	var cand [2]semnet.DenseID
+	return d.best(method, a, b, d.buildContextInto(x, s)), true
+}
+
+// nodeInDoc is nodeWith for the target at table position p: its readings
+// and context come from the table, and its concept scores read the word
+// matrix.
+func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScratch) (Sense, bool) {
+	a, b, ok := pick(t.readings(d.net, p))
+	if !ok {
+		return Sense{}, false
+	}
+	if len(b.senses) == 0 && len(a.senses) == 1 {
+		return d.monosemous(a), true
+	}
+	return d.best(method, a, b, t.contextAt(p, d.opts.Radius, s)), true
+}
+
+// best scores every candidate of the picked readings — a's senses, or the
+// pairs of a's and b's senses — and returns the first highest-scoring one.
+func (d *Disambiguator) best(method Method, a, b reading, pc *preparedContext) Sense {
+	c := candidate{n: 1}
 	bestScore := -1.0
-	var bestP, bestQ semnet.DenseID
-	for _, sp := range sensesP {
-		for _, sq := range sensesQ {
-			cand[0], cand[1] = sp, sq
-			if sc := d.scoreAs(method, cand[:2], pc); sc > bestScore {
-				bestScore, bestP, bestQ = sc, sp, sq
+	if len(b.senses) == 0 {
+		win := a.senses[0]
+		for k, sp := range a.senses {
+			c.ids[0], c.rows[0] = sp, a.rowOf(k)
+			if sc := d.scoreAs(method, &c, pc); sc > bestScore {
+				bestScore, win = sc, sp
+			}
+		}
+		return Sense{Concepts: []semnet.ConceptID{d.conceptID(win)}, Score: bestScore}
+	}
+	c.n = 2
+	var winP, winQ semnet.DenseID
+	for kp, sp := range a.senses {
+		for kq, sq := range b.senses {
+			c.ids = [2]semnet.DenseID{sp, sq}
+			c.rows = [2]int32{a.rowOf(kp), b.rowOf(kq)}
+			if sc := d.scoreAs(method, &c, pc); sc > bestScore {
+				bestScore, winP, winQ = sc, sp, sq
 			}
 		}
 	}
-	return Sense{Concepts: []semnet.ConceptID{d.conceptID(bestP), d.conceptID(bestQ)}, Score: bestScore}, true
-}
-
-// bestSingle scores every single-sense candidate and returns the winner.
-func (d *Disambiguator) bestSingle(senses []semnet.DenseID, method Method, pc *preparedContext) (semnet.DenseID, float64) {
-	var cand [2]semnet.DenseID
-	bestScore := -1.0
-	best := senses[0]
-	for _, sp := range senses {
-		cand[0] = sp
-		if sc := d.scoreAs(method, cand[:1], pc); sc > bestScore {
-			bestScore, best = sc, sp
-		}
-	}
-	return best, bestScore
-}
-
-func (d *Disambiguator) singleTokenFallback(senses []semnet.DenseID, x *xmltree.Node, method Method) (Sense, bool) {
-	if len(senses) == 1 {
-		return Sense{Concepts: []semnet.ConceptID{d.conceptID(senses[0])}, Score: 1}, true
-	}
-	s := ctxScratchPool.Get().(*ctxScratch)
-	defer ctxScratchPool.Put(s)
-	pc := d.contextFor(x, s)
-	bestC, bestScore := d.bestSingle(senses, method, pc)
-	return Sense{Concepts: []semnet.ConceptID{d.conceptID(bestC)}, Score: bestScore}, true
+	return Sense{Concepts: []semnet.ConceptID{d.conceptID(winP), d.conceptID(winQ)}, Score: bestScore}
 }
 
 // Candidates scores every candidate sense (or sense pair) of a target node
 // and returns them ordered best-first — the full ranking behind Node's
 // winner, for explanation UIs and confidence estimation. Nil when no token
-// of the label is known to the network. As a public per-candidate API it
-// goes through the memoized context.
+// of the label is known to the network.
 func (d *Disambiguator) Candidates(x *xmltree.Node) []Sense {
-	tok0 := x.Label
-	tok1 := ""
-	compound := false
-	switch len(x.Tokens) {
-	case 0:
-	case 1:
-		tok0 = x.Tokens[0]
-	default:
-		tok0, tok1 = x.Tokens[0], x.Tokens[1]
-		compound = true
+	tok0, tok1, compound := d.readings(x)
+	a, b, ok := pick(tok0, tok1, compound)
+	if !ok {
+		return nil
 	}
+	if !compound && len(a.senses) == 1 {
+		return []Sense{d.monosemous(a)}
+	}
+	s := ctxScratchPool.Get().(*ctxScratch)
+	defer ctxScratchPool.Put(s)
+	pc := d.buildContextInto(x, s)
 	var out []Sense
-	var cand [2]semnet.DenseID
-	if !compound {
-		senses := d.sensesDense(tok0)
-		if len(senses) == 0 {
-			return nil
-		}
-		if len(senses) == 1 {
-			return []Sense{{Concepts: []semnet.ConceptID{d.conceptID(senses[0])}, Score: 1}}
-		}
-		pc := d.prepareContext(x)
-		for _, sp := range senses {
-			cand[0] = sp
+	c := candidate{n: 1, rows: [2]int32{-1, -1}}
+	if len(b.senses) == 0 {
+		for _, sp := range a.senses {
+			c.ids[0] = sp
 			out = append(out, Sense{
 				Concepts: []semnet.ConceptID{d.conceptID(sp)},
-				Score:    d.scoreAs(d.opts.Method, cand[:1], pc),
+				Score:    d.scoreAs(d.opts.Method, &c, pc),
 			})
 		}
 	} else {
-		sensesP := d.sensesDense(tok0)
-		sensesQ := d.sensesDense(tok1)
-		if len(sensesP) == 0 && len(sensesQ) == 0 {
-			return nil
-		}
-		switch {
-		case len(sensesP) == 0 || len(sensesQ) == 0:
-			single := sensesP
-			if len(single) == 0 {
-				single = sensesQ
-			}
-			pc := d.prepareContext(x)
-			for _, sp := range single {
-				cand[0] = sp
+		c.n = 2
+		for _, sp := range a.senses {
+			for _, sq := range b.senses {
+				c.ids = [2]semnet.DenseID{sp, sq}
 				out = append(out, Sense{
-					Concepts: []semnet.ConceptID{d.conceptID(sp)},
-					Score:    d.scoreAs(d.opts.Method, cand[:1], pc),
+					Concepts: []semnet.ConceptID{d.conceptID(sp), d.conceptID(sq)},
+					Score:    d.scoreAs(d.opts.Method, &c, pc),
 				})
-			}
-		default:
-			pc := d.prepareContext(x)
-			for _, sp := range sensesP {
-				for _, sq := range sensesQ {
-					cand[0], cand[1] = sp, sq
-					out = append(out, Sense{
-						Concepts: []semnet.ConceptID{d.conceptID(sp), d.conceptID(sq)},
-						Score:    d.scoreAs(d.opts.Method, cand[:2], pc),
-					})
-				}
 			}
 		}
 	}
@@ -712,11 +715,22 @@ func (d *Disambiguator) ApplyContext(ctx context.Context, targets []*xmltree.Nod
 // re-raised on the calling goroutine with its original value, so the
 // pipeline's panic isolation (core.processOne, xsdf's recover seam) boxes
 // it exactly as in serial mode.
+//
+// Before scoring, the run resolves the targets' tree once into a pooled
+// table of preorder positions, label dimensions and lemma ids, and scores
+// every target on it, with Definition 8's per-word maxima kept in a
+// document-local matrix. A target outside that tree, and a tree whose
+// Index fields are not its preorder ranks, take Node's per-node path; the
+// results are the same bits either way.
 func (d *Disambiguator) ApplyReport(ctx context.Context, targets []*xmltree.Node) (Report, error) {
 	b := newBudget(ctx, len(targets), d.opts.Degrade)
+	tab := d.docTableFor(targets)
+	defer tab.release()
 	if w := d.workerCount(len(targets)); w > 1 {
-		return d.applyParallel(ctx, targets, w, b)
+		return d.applyParallel(ctx, targets, w, b, tab)
 	}
+	s := ctxScratchPool.Get().(*ctxScratch)
+	defer ctxScratchPool.Put(s)
 	assigned, attempted := 0, 0
 	done := ctx.Done()
 	for _, x := range targets {
@@ -748,9 +762,9 @@ func (d *Disambiguator) ApplyReport(ctx context.Context, targets []*xmltree.Node
 		if lvl > xsdferrors.DegradeNone {
 			x.Degraded = lvl
 		}
-		if s, ok := d.nodeAt(x, lvl); ok {
-			x.Sense = s.ID()
-			x.SenseScore = s.Score
+		if sn, ok := d.nodeAt(x, lvl, tab, s); ok {
+			x.Sense = sn.ID()
+			x.SenseScore = sn.Score
 			assigned++
 		}
 	}
@@ -793,7 +807,7 @@ func (d *Disambiguator) workerCount(targets int) int {
 }
 
 // applyParallel is the Workers > 1 fan-out of ApplyReport.
-func (d *Disambiguator) applyParallel(ctx context.Context, targets []*xmltree.Node, workers int, b *budget) (Report, error) {
+func (d *Disambiguator) applyParallel(ctx context.Context, targets []*xmltree.Node, workers int, b *budget, tab *docTable) (Report, error) {
 	var assigned, attempted atomic.Int64
 	var (
 		panicOnce sync.Once
@@ -814,6 +828,8 @@ func (d *Disambiguator) applyParallel(ctx context.Context, targets []*xmltree.No
 					})
 				}
 			}()
+			s := ctxScratchPool.Get().(*ctxScratch)
+			defer ctxScratchPool.Put(s)
 			done := ctx.Done()
 			for x := range jobs {
 				if done != nil {
@@ -839,9 +855,9 @@ func (d *Disambiguator) applyParallel(ctx context.Context, targets []*xmltree.No
 				if lvl > xsdferrors.DegradeNone {
 					x.Degraded = lvl
 				}
-				if s, ok := d.nodeAt(x, lvl); ok {
-					x.Sense = s.ID()
-					x.SenseScore = s.Score
+				if sn, ok := d.nodeAt(x, lvl, tab, s); ok {
+					x.Sense = sn.ID()
+					x.SenseScore = sn.Score
 					assigned.Add(1)
 				}
 			}

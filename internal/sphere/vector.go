@@ -233,7 +233,7 @@ func VectorFromMembersInto(members []Member, d int, voc Vocab, s *VecScratch, me
 
 // VectorFromMembers builds the Definition 6–7 context vector from an
 // already-computed sphere membership, letting callers that need both the
-// members and the vector (disambig.prepareContext) run the BFS once.
+// members and the vector run the BFS once.
 func VectorFromMembers(members []Member, d int, voc Vocab) Vector {
 	var s VecScratch
 	return VectorFromMembersInto(members, d, voc, &s, nil)

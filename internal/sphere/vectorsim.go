@@ -57,6 +57,47 @@ func Cosine(a, b Vector) float64 {
 	return v
 }
 
+// SquaredNorm returns the sum of v's squared weights, added in ascending
+// dimension order — the order Cosine accumulates each vector's norm in.
+func SquaredNorm(v Vector) float64 {
+	var n float64
+	for _, w := range v.Weights {
+		n += w * w
+	}
+	return n
+}
+
+// CosineWithNorms is Cosine for vectors whose squared norms na and nb
+// (SquaredNorm) are already known: one merge over the shared dimensions
+// for the dot product. It returns Cosine's exact bits, since the dot
+// product adds the shared dimensions in the same ascending order.
+func CosineWithNorms(a, b Vector, na, nb float64) float64 {
+	if len(a.Dims) == 0 || len(b.Dims) == 0 || na == 0 || nb == 0 {
+		return 0
+	}
+	var dot float64
+	i, j := 0, 0
+	for i < len(a.Dims) && j < len(b.Dims) {
+		da, db := a.Dims[i], b.Dims[j]
+		switch {
+		case da == db:
+			wa, wb := a.Weights[i], b.Weights[j]
+			dot += wa * wb
+			i++
+			j++
+		case da < db:
+			i++
+		default:
+			j++
+		}
+	}
+	v := dot / (math.Sqrt(na) * math.Sqrt(nb))
+	if v > 1 { // guard against rounding
+		return 1
+	}
+	return v
+}
+
 // Jaccard returns the weighted (Ruzicka) Jaccard similarity:
 // sum(min)/sum(max) over the union of dimensions.
 func Jaccard(a, b Vector) float64 {

@@ -2,6 +2,7 @@ package sphere
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -216,5 +217,48 @@ func TestMergeJoinMatchesMapFold(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCosineWithNormsMatchesCosine checks that the norm-cached cosine
+// returns Cosine's exact bits: on seeded random sparse vectors over a
+// small dimension range (so most pairs share some dimensions), and on the
+// edge cases — empty vectors, all-zero weights, disjoint, identical, and
+// one vector's dimensions nested in the other's.
+func TestCosineWithNormsMatchesCosine(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func() Vector {
+		var v Vector
+		for dim := int32(0); dim < 40; dim++ {
+			if rng.Intn(3) == 0 {
+				v.Dims = append(v.Dims, dim)
+				v.Weights = append(v.Weights, rng.Float64()*rng.Float64())
+			}
+		}
+		return v
+	}
+	vec := func(dims []int32, ws ...float64) Vector { return Vector{Dims: dims, Weights: ws} }
+	full := vec([]int32{1, 3, 5, 8}, 0.25, 0.5, 1.0/3, 0.125)
+	pairs := [][2]Vector{
+		{{}, {}},
+		{{}, full},
+		{full, {}},
+		{vec([]int32{1, 3}, 0, 0), full},
+		{full, vec([]int32{2, 4}, 0, 0)},
+		{vec([]int32{0, 2, 4}, 0.3, 0.6, 0.9), full},
+		{full, full},
+		{vec([]int32{3, 8}, 0.7, 0.1), full},
+		{full, vec([]int32{1, 5}, 0.2, 0.4)},
+	}
+	for i := 0; i < 5000; i++ {
+		pairs = append(pairs, [2]Vector{random(), random()})
+	}
+	for i, p := range pairs {
+		a, b := p[0], p[1]
+		want := Cosine(a, b)
+		got := CosineWithNorms(a, b, SquaredNorm(a), SquaredNorm(b))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pair %d %v · %v: CosineWithNorms %.17g, Cosine %.17g", i, a, b, got, want)
+		}
 	}
 }

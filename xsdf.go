@@ -331,10 +331,9 @@ func New(o Options) (*Framework, error) {
 	if cw == 0 && xw == 0 {
 		cw, xw = 0.5, 0.5
 	}
-	var vs sphere.VectorSim
+	var vs sphere.VectorSim // nil: disambig's cosine, with cached norms
 	switch strings.ToLower(o.VectorSimilarity) {
 	case "", "cosine":
-		vs = sphere.Cosine
 	case "jaccard":
 		vs = sphere.Jaccard
 	case "pearson":
