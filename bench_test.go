@@ -10,6 +10,8 @@
 package xsdf_test
 
 import (
+	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -499,6 +501,34 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	b.Run("shared-cache", func(b *testing.B) { run(b, false, 0) })
 	b.Run("cold-cache", func(b *testing.B) { run(b, true, 0) })
 	b.Run("parallel-nodes", func(b *testing.B) { run(b, false, -1) })
+}
+
+// BenchmarkPipelineParse measures the parse layer alone: one op parses
+// the 240 serialized documents of corpus.GenerateScaled(1, 4) — the
+// benchmark corpus — with Framework.ParseTree, under the pipeline's
+// content mode, tokenizer and resource guards.
+func BenchmarkPipelineParse(b *testing.B) {
+	fw, err := xsdf.New(xsdf.Options{Radius: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var docs []string
+	for _, d := range corpus.GenerateScaled(1, 4) {
+		var buf bytes.Buffer
+		if err := d.Tree.WriteXML(&buf, false); err != nil {
+			b.Fatal(err)
+		}
+		docs = append(docs, buf.String())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, doc := range docs {
+			if _, err := fw.ParseTree(strings.NewReader(doc)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkPipelineDegraded quantifies the degradation ladder's

@@ -6,8 +6,13 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/lingproc"
+	"repro/internal/xmltree"
 )
 
 // maxWarmAllocsPerNode is the steady-state allocation budget for
@@ -53,5 +58,50 @@ func TestWarmSteadyStateAllocsPerNode(t *testing.T) {
 		t.Errorf("warm reprocess allocates %.2f allocs/node, budget %.1f — "+
 			"an allocation crept back into the per-node scoring path",
 			perNode, maxWarmAllocsPerNode)
+	}
+}
+
+// maxParseAllocsPerNode is the allocation budget for parsing: the
+// streaming scanner reads through a pooled window and builds each tree
+// from one node slab and one pointer array, so what remains per document
+// is the Tree, the slab, the pointer array, one string per distinct name,
+// and per text value its string and the tokenizer's result slice. The
+// encoding/xml-based parser made 8.04 allocations per node on this corpus.
+const maxParseAllocsPerNode = 2.0
+
+// TestParseAllocsPerNode is the allocation-regression gate for the parse
+// layer: parsing the benchmark-shaped corpus (corpus.GenerateScaled(3, 4),
+// serialized) the way the pipeline does, with lingproc.Tokenize, must stay
+// within the per-node budget.
+func TestParseAllocsPerNode(t *testing.T) {
+	var docs []string
+	for _, d := range corpus.GenerateScaled(3, 4) {
+		var buf bytes.Buffer
+		if err := d.Tree.WriteXML(&buf, false); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, buf.String())
+	}
+	opts := xmltree.ParseOptions{IncludeContent: true, Tokenize: lingproc.Tokenize}
+	nodes := 0
+	for _, doc := range docs {
+		tr, err := xmltree.Parse(strings.NewReader(doc), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes += tr.Len()
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, doc := range docs {
+			if _, err := xmltree.Parse(strings.NewReader(doc), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	perNode := allocs / float64(nodes)
+	t.Logf("parse: %.0f allocs over %d documents and %d nodes = %.2f allocs/node",
+		allocs, len(docs), nodes, perNode)
+	if perNode > maxParseAllocsPerNode {
+		t.Errorf("parsing allocates %.2f allocs/node, budget %.1f", perNode, maxParseAllocsPerNode)
 	}
 }

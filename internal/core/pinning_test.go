@@ -114,12 +114,21 @@ func TestSnapshotPinningUnderConcurrentSwaps(t *testing.T) {
 			if i%2 == 1 {
 				net, tag = netA, "v1"
 			}
+			// Record the identity before the swap: a run pinned to the
+			// new snapshot can finish and be checked before ReloadNetwork
+			// returns. Swap i publishes epoch i+2, with the tag as its
+			// version label.
+			epoch := uint64(i) + 2
+			epochTag.Store(epoch, epochIdentity{tag: tag, version: tag})
 			info, err := fw.ReloadNetwork(context.Background(), net, tag, "pinning-test", ReloadOptions{})
 			if err != nil {
 				t.Errorf("swap %d: %v", i, err)
 				return
 			}
-			epochTag.Store(info.Epoch, epochIdentity{tag: tag, version: info.Version})
+			if info.Epoch != epoch {
+				t.Errorf("swap %d published epoch %d, want %d", i, info.Epoch, epoch)
+				return
+			}
 		}
 	}()
 

@@ -1,6 +1,7 @@
 package lingproc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -42,19 +43,27 @@ func FuzzSplitCompound(f *testing.F) {
 	})
 }
 
-// FuzzTokenize: tokens contain only letters and digits, lower-cased.
+// FuzzTokenize: tokens contain only letters and digits, lower-cased, and
+// equal the reference tokenizer's on every input, invalid UTF-8 included.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range []string{"A wheelchair bound photographer", "1954!", "", "--", "naïve café"} {
 		f.Add(s)
 	}
+	for _, s := range tokenizeEdgeCases {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
-		for _, tok := range Tokenize(s) {
+		got := Tokenize(s)
+		for _, tok := range got {
 			if tok == "" {
 				t.Fatal("empty token")
 			}
 			if tok != strings.ToLower(tok) {
 				t.Fatalf("token %q not lower-cased", tok)
 			}
+		}
+		if want := referenceTokenize(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
 		}
 	})
 }

@@ -19,6 +19,7 @@ package lingproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/xmltree"
 )
@@ -63,24 +64,86 @@ func IsStopWord(w string) bool {
 // Tokenize splits a text value into lower-cased word tokens, breaking on any
 // rune that is neither a letter nor a digit. Pure-digit tokens are kept
 // (years, quantities) since they can carry gold labels in the corpus.
+//
+// ASCII bytes other than letters and digits always separate words, so the
+// value is cut at them first. A run of ASCII letters and digits is a word
+// as it stands, returned as a substring of s unless it holds upper case;
+// a run with non-ASCII bytes is split rune by rune. The words are counted
+// before they are collected, so the result is allocated once.
 func Tokenize(s string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, strings.ToLower(cur.String()))
-			cur.Reset()
-		}
+	_, n := words(s, nil)
+	if n == 0 {
+		return nil
 	}
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			cur.WriteRune(r)
-		} else {
-			flush()
-		}
-	}
-	flush()
+	out, _ := words(s, make([]string, 0, n))
 	return out
+}
+
+// words walks the words of s, appending them to out when out is non-nil,
+// and returns out and the word count.
+func words(s string, out []string) ([]string, int) {
+	n := 0
+	for i := 0; i < len(s); {
+		if !wordByte(s[i]) {
+			i++
+			continue
+		}
+		start, upper, ascii := i, false, true
+		for ; i < len(s) && wordByte(s[i]); i++ {
+			c := s[i]
+			upper = upper || 'A' <= c && c <= 'Z'
+			ascii = ascii && c < utf8.RuneSelf
+		}
+		run := s[start:i]
+		switch {
+		case !ascii:
+			var k int
+			out, k = unicodeWords(run, out)
+			n += k
+		case out == nil:
+			n++
+		case upper:
+			out = append(out, strings.ToLower(run))
+		default:
+			out = append(out, run)
+		}
+	}
+	return out, n
+}
+
+// wordByte reports whether c may belong to a word: an ASCII letter or
+// digit, or any byte of a multi-byte sequence.
+func wordByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c >= utf8.RuneSelf
+}
+
+// unicodeWords splits a run holding non-ASCII bytes at every rune that is
+// neither a letter nor a digit (invalid UTF-8 decodes to U+FFFD, which is
+// neither), appending the lower-cased words to out when it is non-nil.
+func unicodeWords(run string, out []string) ([]string, int) {
+	n, start := 0, -1
+	for i, r := range run {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			n++
+			if out != nil {
+				out = append(out, strings.ToLower(run[start:i]))
+			}
+			start = -1
+		}
+	}
+	if start >= 0 {
+		n++
+		if out != nil {
+			out = append(out, strings.ToLower(run[start:]))
+		}
+	}
+	return out, n
 }
 
 // SplitCompound breaks a tag name into its constituent terms, handling the

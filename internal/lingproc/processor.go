@@ -1,6 +1,7 @@
 package lingproc
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/xmltree"
@@ -95,6 +96,10 @@ func (p *Processor) ValueToken(tok string) (string, []string, bool) {
 	if ok {
 		return e.tok, e.tokens, e.ok
 	}
+	// Raw tokens may be substrings of a whole text value (Tokenize returns
+	// them in place); the memo outlives the tree, so it keeps a copy
+	// rather than pinning the value.
+	tok = strings.Clone(tok)
 	w, keep := ProcessValueToken(tok, p.lex)
 	e = tokenEntry{tok: w, ok: keep}
 	if keep {

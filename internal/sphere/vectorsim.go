@@ -147,8 +147,8 @@ func Jaccard(a, b Vector) float64 {
 }
 
 // Pearson maps the Pearson correlation coefficient of the two vectors over
-// their union of dimensions onto [0, 1] via (r+1)/2, so it is usable as a
-// similarity. Degenerate (zero-variance) inputs score 0.
+// their union of dimensions onto [0, 1] via (r+1)/2, clamped, so it is
+// usable as a similarity. Degenerate (zero-variance) inputs score 0.
 func Pearson(a, b Vector) float64 {
 	// First merge pass: union size and per-vector sums (absent dims
 	// contribute 0 to the sums but count toward n).
@@ -218,6 +218,8 @@ func Pearson(a, b Vector) float64 {
 	if va == 0 || vb == 0 {
 		return 0
 	}
+	// Rounding can push r just outside [-1, 1] for exactly (anti-)
+	// correlated vectors; clamp so the similarity stays in [0, 1].
 	r := cov / math.Sqrt(va*vb)
-	return (r + 1) / 2
+	return min(max((r+1)/2, 0), 1)
 }

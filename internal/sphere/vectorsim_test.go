@@ -78,6 +78,14 @@ func TestPearsonBasics(t *testing.T) {
 	if got := Pearson(vecLit(voc, map[string]float64{"x": 1}), vecLit(voc, map[string]float64{"x": 2})); got != 0 {
 		t.Errorf("single-dim Pearson = %f", got)
 	}
+	// Exactly anti-correlated over the union of dimensions: r rounds
+	// below -1, and the unclamped (r+1)/2 read -1.1e-16. This pair once
+	// failed TestVectorSimsRange's random draw.
+	c := vecLit(voc, map[string]float64{"a": 6, "b": 4, "c": 6, "d": 8, "e": 2})
+	d := vecLit(voc, map[string]float64{"a": 2, "b": 4, "c": 2, "e": 6, "f": 8})
+	if got := Pearson(c, d); got < 0 || got > 1 {
+		t.Errorf("anti-correlated Pearson = %g, want within [0, 1]", got)
+	}
 }
 
 // TestVectorSimsRange: all three similarities stay in [0, 1] and are

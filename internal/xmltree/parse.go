@@ -4,7 +4,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/xsdferrors"
@@ -29,7 +28,9 @@ type ParseOptions struct {
 	// Tokenize splits a text value into raw tokens. When nil, values are
 	// split on Unicode whitespace. Linguistic pre-processing proper (stop
 	// words, stemming, compound handling) is applied later by
-	// internal/lingproc.
+	// internal/lingproc. Tokenize is not called for values made only of
+	// space, tab, CR and LF: the parser adds no tokens for them, as every
+	// tokenizer in this repository returns none.
 	Tokenize func(string) []string
 
 	// MaxDepth bounds element nesting depth; MaxNodes bounds the total
@@ -71,108 +72,60 @@ func malformed(format string, args ...any) error {
 		xsdferrors.ErrMalformedInput, fmt.Sprintf(format, args...))
 }
 
+// malformedBy wraps a scanner error (a syntax error, or the reader's own
+// error) so that it matches xsdferrors.ErrMalformedInput and still
+// unwraps to the cause.
+func malformedBy(err error) error {
+	return fmt.Errorf("xmltree: parse: %w: %w", xsdferrors.ErrMalformedInput, err)
+}
+
 // Parse reads an XML document and returns its rooted ordered labeled tree.
 // Attribute nodes are sorted by name and placed before sub-elements,
 // following the canonical ordering of §3.1.
 //
-// Parsing is resource-guarded: nesting depth, total node count, and
+// The input is read as a stream through a fixed window and tokenized
+// exactly as encoding/xml's Decoder.Token would, building the tree in the
+// same pass; no part of the document is buffered beyond the token being
+// read. Parsing is resource-guarded: nesting depth, total node count, and
 // per-value byte size are bounded by the ParseOptions limits (package
-// defaults when zero), and violations return an *xsdferrors.LimitError.
-// Well-formedness failures return errors matching
+// defaults when zero), and violations return an *xsdferrors.LimitError
+// after reading only a bounded prefix of the input. Well-formedness
+// failures, and reader errors, return errors matching
 // xsdferrors.ErrMalformedInput. Parse never panics on hostile input.
 func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
-	dec := xml.NewDecoder(r)
-	tokenize := opts.Tokenize
-	if tokenize == nil {
-		tokenize = strings.Fields
-	}
-	maxDepth, maxNodes, maxValue := opts.maxDepth(), opts.maxNodes(), opts.maxTokenBytes()
-
-	nodes := 0
-	addNode := func() error {
-		nodes++
-		if nodes > maxNodes {
-			return &xsdferrors.LimitError{Limit: "nodes", Max: maxNodes, Actual: nodes}
-		}
-		return nil
-	}
-
-	var root *Node
-	var stack []*Node
+	p := newParser(r, opts)
+	defer p.release()
+	rootSeen := false
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		kind, err := p.sc.next()
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w: %w", xsdferrors.ErrMalformedInput, err)
+			return nil, malformedBy(err)
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			if len(stack)+1 > maxDepth {
-				return nil, &xsdferrors.LimitError{Limit: "depth", Max: maxDepth, Actual: len(stack) + 1}
+		switch kind {
+		case tokEOF:
+			if !rootSeen {
+				return nil, malformed("empty document")
 			}
-			if err := addNode(); err != nil {
+			return p.b.tree(), nil
+		case tokStart:
+			top := len(p.b.stack) == 0
+			if err := p.b.start(&p.sc.tag); err != nil {
 				return nil, err
 			}
-			n := &Node{Raw: tk.Name.Local, Label: tk.Name.Local, Kind: Element}
-			attrs := append([]xml.Attr(nil), tk.Attr...)
-			sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name.Local < attrs[j].Name.Local })
-			for _, a := range attrs {
-				if len(a.Value) > maxValue {
-					return nil, &xsdferrors.LimitError{Limit: "token-bytes", Max: maxValue, Actual: len(a.Value)}
-				}
-				if err := addNode(); err != nil {
-					return nil, err
-				}
-				an := &Node{Raw: a.Name.Local, Label: a.Name.Local, Kind: Attribute}
-				n.AddChild(an)
-				if opts.IncludeContent {
-					for _, w := range tokenize(a.Value) {
-						if err := addNode(); err != nil {
-							return nil, err
-						}
-						an.AddChild(&Node{Raw: w, Label: w, Kind: Token})
-					}
-				}
-			}
-			if len(stack) == 0 {
-				if root != nil {
+			if top {
+				if rootSeen {
 					return nil, malformed("multiple root elements")
 				}
-				root = n
-			} else {
-				stack[len(stack)-1].AddChild(n)
+				rootSeen = true
 			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, malformed("unbalanced end element %q", tk.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(tk) > maxValue {
-				return nil, &xsdferrors.LimitError{Limit: "token-bytes", Max: maxValue, Actual: len(tk)}
-			}
-			if !opts.IncludeContent || len(stack) == 0 {
-				continue
-			}
-			parent := stack[len(stack)-1]
-			for _, w := range tokenize(string(tk)) {
-				if err := addNode(); err != nil {
-					return nil, err
-				}
-				parent.AddChild(&Node{Raw: w, Label: w, Kind: Token})
+		case tokEnd:
+			p.b.end()
+		case tokText:
+			if err := p.b.text(p.sc.data); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if root == nil {
-		return nil, malformed("empty document")
-	}
-	if len(stack) != 0 {
-		return nil, malformed("%d unclosed elements", len(stack))
-	}
-	return New(root), nil
 }
 
 // ParseString is Parse over an in-memory document.

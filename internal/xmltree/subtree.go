@@ -1,6 +1,6 @@
 // Incremental SAX-style parsing: a pull-based scanner that walks the
-// decoder's token stream and materializes one completed subtree at a
-// time, so a document far larger than memory can be disambiguated
+// token stream and materializes one completed subtree at a time, so a
+// document far larger than memory can be disambiguated
 // subtree-by-subtree with live heap proportional to one subtree.
 //
 // The document is split at a configurable element depth (default 1: the
@@ -28,11 +28,8 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"repro/xsdferrors"
 )
@@ -140,20 +137,16 @@ func (e *SubtreeError) Unwrap() error { return e.Err }
 // SubtreeScanner incrementally parses one XML document, emitting one
 // completed subtree per Next call. Use NewSubtreeScanner; the scanner is
 // single-goroutine (pull-based), holds no more than one subtree of
-// nodes, and never re-reads input.
+// nodes, and never re-reads input. Each subtree is built by the same
+// element builder as Parse, with its own node slab and name table.
 type SubtreeScanner struct {
-	dec      *xml.Decoder
-	tokenize func(string) []string
-	include  bool
+	p *parser // nil once the scan reached its terminal state
 
-	splitDepth         int
-	maxDepth, maxNodes int
-	maxValue           int
-	maxSubtreeBytes    int64
-	maxSubtrees        int
+	splitDepth      int
+	maxSubtreeBytes int64
+	maxSubtrees     int
 
 	path       []string // envelope element names currently open
-	open       int      // count of open envelope elements (== len(path))
 	rootSeen   bool
 	rootClosed bool
 
@@ -161,25 +154,17 @@ type SubtreeScanner struct {
 	emitted int
 	failed  int
 
-	skip int   // >0: recovering — open elements of a tripped subtree left to close
-	err  error // sticky terminal state (a fatal *SubtreeError, or io.EOF)
+	skip   int   // >0: recovering — open elements of a tripped subtree left to close
+	err    error // sticky terminal state (a fatal *SubtreeError, or io.EOF)
+	offset int64 // input offset at the terminal state
 }
 
 // NewSubtreeScanner reads one XML document from r in incremental subtree
 // mode.
 func NewSubtreeScanner(r io.Reader, opts SubtreeOptions) *SubtreeScanner {
-	tokenize := opts.Tokenize
-	if tokenize == nil {
-		tokenize = strings.Fields
-	}
 	return &SubtreeScanner{
-		dec:             xml.NewDecoder(r),
-		tokenize:        tokenize,
-		include:         opts.IncludeContent,
+		p:               newParser(r, opts.ParseOptions),
 		splitDepth:      opts.splitDepth(),
-		maxDepth:        opts.maxDepth(),
-		maxNodes:        opts.maxNodes(),
-		maxValue:        opts.maxTokenBytes(),
 		maxSubtreeBytes: opts.maxSubtreeBytes(),
 		maxSubtrees:     opts.maxSubtrees(),
 	}
@@ -191,13 +176,26 @@ func (s *SubtreeScanner) Emitted() int { return s.emitted }
 // Failed is the number of subtrees skipped on a recoverable guard trip.
 func (s *SubtreeScanner) Failed() int { return s.failed }
 
-// InputOffset is the byte offset the decoder has consumed up to.
-func (s *SubtreeScanner) InputOffset() int64 { return s.dec.InputOffset() }
+// InputOffset is the byte offset the scanner has consumed up to.
+func (s *SubtreeScanner) InputOffset() int64 {
+	if s.p == nil {
+		return s.offset
+	}
+	return s.p.sc.offset()
+}
+
+// finish records the terminal state and returns the parser to the pool.
+func (s *SubtreeScanner) finish(err error) {
+	s.offset = s.p.sc.offset()
+	s.err = err
+	s.p.release()
+	s.p = nil
+}
 
 // fatal records a document-level error; every later Next repeats it.
 func (s *SubtreeScanner) fatal(err error) error {
-	se := &SubtreeError{Subtree: s.index, Offset: s.dec.InputOffset(), Fatal: true, Err: err}
-	s.err = se
+	se := &SubtreeError{Subtree: s.index, Offset: s.p.sc.offset(), Fatal: true, Err: err}
+	s.finish(se)
 	return se
 }
 
@@ -207,7 +205,7 @@ func (s *SubtreeScanner) fatal(err error) error {
 func (s *SubtreeScanner) trip(idx, stillOpen int, err error) error {
 	s.failed++
 	s.skip = stillOpen
-	return &SubtreeError{Subtree: idx, Offset: s.dec.InputOffset(), Err: err}
+	return &SubtreeError{Subtree: idx, Offset: s.p.sc.offset(), Err: err}
 }
 
 // Next returns the next completed subtree. It returns io.EOF after the
@@ -224,172 +222,103 @@ func (s *SubtreeScanner) Next() (*Subtree, error) {
 			return nil, s.fatal(err)
 		}
 	}
+	sc := &s.p.sc
 	for {
-		off := s.dec.InputOffset()
-		tok, err := s.dec.Token()
-		if err == io.EOF {
-			switch {
-			case !s.rootSeen:
-				return nil, s.fatal(malformed("empty document"))
-			case s.open != 0:
-				return nil, s.fatal(malformed("%d unclosed elements", s.open))
-			}
-			s.err = io.EOF
-			return nil, io.EOF
-		}
+		off := sc.offset()
+		kind, err := sc.next()
 		if err != nil {
-			return nil, s.fatal(fmt.Errorf("xmltree: parse: %w: %w", xsdferrors.ErrMalformedInput, err))
+			return nil, s.fatal(malformedBy(err))
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			if s.open == 0 {
+		switch kind {
+		case tokEOF:
+			if !s.rootSeen {
+				return nil, s.fatal(malformed("empty document"))
+			}
+			s.finish(io.EOF)
+			return nil, io.EOF
+		case tokStart:
+			if len(s.path) == 0 {
 				if s.rootClosed {
 					return nil, s.fatal(malformed("multiple root elements"))
 				}
 				s.rootSeen = true
 			}
-			if s.open < s.splitDepth {
+			if len(s.path) < s.splitDepth {
 				// Envelope element: guard its attribute values (they are
 				// decoded into memory either way), record the path, and
 				// descend without materializing anything.
-				for _, a := range tk.Attr {
-					if len(a.Value) > s.maxValue {
+				for _, a := range sc.tag.attrs {
+					if len(a.value) > s.p.b.maxValue {
 						return nil, s.fatal(&xsdferrors.LimitError{
-							Limit: "token-bytes", Max: s.maxValue, Actual: len(a.Value)})
+							Limit: "token-bytes", Max: s.p.b.maxValue, Actual: len(a.value)})
 					}
 				}
-				s.path = append(s.path, tk.Name.Local)
-				s.open++
+				s.path = append(s.path, string(sc.tag.local))
 				continue
 			}
 			if s.index >= s.maxSubtrees {
 				return nil, s.fatal(&xsdferrors.LimitError{
 					Limit: "subtrees", Max: s.maxSubtrees, Actual: s.index + 1})
 			}
-			return s.buildSubtree(tk, off)
-		case xml.EndElement:
-			if s.open == 0 {
-				return nil, s.fatal(malformed("unbalanced end element %q", tk.Name.Local))
-			}
-			s.open--
+			return s.buildSubtree(off)
+		case tokEnd:
 			s.path = s.path[:len(s.path)-1]
-			if s.open == 0 {
+			if len(s.path) == 0 {
 				s.rootClosed = true
 			}
-		case xml.CharData:
+		case tokText:
 			// Envelope text is never materialized, but an oversized chunk
 			// was already decoded whole — reject the document like Parse
 			// would.
-			if len(tk) > s.maxValue {
+			if len(sc.data) > s.p.b.maxValue {
 				return nil, s.fatal(&xsdferrors.LimitError{
-					Limit: "token-bytes", Max: s.maxValue, Actual: len(tk)})
+					Limit: "token-bytes", Max: s.p.b.maxValue, Actual: len(sc.data)})
 			}
 		}
 	}
 }
 
-// buildSubtree materializes one subtree whose start tag (already
-// consumed) began at startOff, enforcing the per-subtree guards.
-func (s *SubtreeScanner) buildSubtree(start xml.StartElement, startOff int64) (*Subtree, error) {
+// buildSubtree materializes one subtree whose start tag (just scanned)
+// began at startOff, enforcing the per-subtree guards with depth counted
+// from the subtree root.
+func (s *SubtreeScanner) buildSubtree(startOff int64) (*Subtree, error) {
 	idx := s.index
 	s.index++
-
-	nodes := 0
-	addNode := func() error {
-		nodes++
-		if nodes > s.maxNodes {
-			return &xsdferrors.LimitError{Limit: "nodes", Max: s.maxNodes, Actual: nodes}
-		}
-		return nil
-	}
-
-	// startElement maps one start tag (the root, or a descendant) onto
-	// its node with sorted, tokenized attributes — the same construction
-	// as Parse, with depth counted from the subtree root.
-	startElement := func(tk xml.StartElement, depth int) (*Node, error) {
-		if depth > s.maxDepth {
-			return nil, &xsdferrors.LimitError{Limit: "depth", Max: s.maxDepth, Actual: depth}
-		}
-		if err := addNode(); err != nil {
-			return nil, err
-		}
-		n := &Node{Raw: tk.Name.Local, Label: tk.Name.Local, Kind: Element}
-		attrs := append([]xml.Attr(nil), tk.Attr...)
-		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name.Local < attrs[j].Name.Local })
-		for _, a := range attrs {
-			if len(a.Value) > s.maxValue {
-				return nil, &xsdferrors.LimitError{Limit: "token-bytes", Max: s.maxValue, Actual: len(a.Value)}
-			}
-			if err := addNode(); err != nil {
-				return nil, err
-			}
-			an := &Node{Raw: a.Name.Local, Label: a.Name.Local, Kind: Attribute}
-			n.AddChild(an)
-			if s.include {
-				for _, w := range s.tokenize(a.Value) {
-					if err := addNode(); err != nil {
-						return nil, err
-					}
-					an.AddChild(&Node{Raw: w, Label: w, Kind: Token})
-				}
-			}
-		}
-		return n, nil
-	}
-
-	root, err := startElement(start, 1)
-	if err != nil {
+	sc, b := &s.p.sc, &s.p.b
+	b.reset()
+	if err := b.start(&sc.tag); err != nil {
 		return nil, s.trip(idx, 1, err)
 	}
-	stack := []*Node{root}
-
 	for {
-		if consumed := s.dec.InputOffset() - startOff; consumed > s.maxSubtreeBytes {
-			return nil, s.trip(idx, len(stack), &xsdferrors.LimitError{
+		if consumed := sc.offset() - startOff; consumed > s.maxSubtreeBytes {
+			return nil, s.trip(idx, len(b.stack), &xsdferrors.LimitError{
 				Limit: "subtree-bytes", Max: int(s.maxSubtreeBytes), Actual: int(consumed)})
 		}
-		tok, err := s.dec.Token()
-		if err == io.EOF {
-			return nil, s.fatal(malformed("%d unclosed elements", s.open+len(stack)))
-		}
+		kind, err := sc.next()
 		if err != nil {
-			return nil, s.fatal(fmt.Errorf("xmltree: parse: %w: %w", xsdferrors.ErrMalformedInput, err))
+			return nil, s.fatal(malformedBy(err))
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			n, err := startElement(tk, len(stack)+1)
-			if err != nil {
-				return nil, s.trip(idx, len(stack)+1, err)
+		switch kind {
+		case tokStart:
+			if err := b.start(&sc.tag); err != nil {
+				return nil, s.trip(idx, len(b.stack)+1, err)
 			}
-			stack[len(stack)-1].AddChild(n)
-			stack = append(stack, n)
-		case xml.EndElement:
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
+		case tokEnd:
+			b.end()
+			if len(b.stack) > 0 {
 				continue
 			}
 			s.emitted++
 			return &Subtree{
-				Tree:        New(root),
+				Tree:        b.tree(),
 				Index:       idx,
 				Path:        append([]string(nil), s.path...),
 				StartOffset: startOff,
-				EndOffset:   s.dec.InputOffset(),
+				EndOffset:   sc.offset(),
 			}, nil
-		case xml.CharData:
-			if len(tk) > s.maxValue {
-				return nil, s.trip(idx, len(stack), &xsdferrors.LimitError{
-					Limit: "token-bytes", Max: s.maxValue, Actual: len(tk)})
-			}
-			if !s.include {
-				continue
-			}
-			parent := stack[len(stack)-1]
-			for _, w := range s.tokenize(string(tk)) {
-				if err := addNode(); err != nil {
-					return nil, s.trip(idx, len(stack), err)
-				}
-				parent.AddChild(&Node{Raw: w, Label: w, Kind: Token})
+		case tokText:
+			if err := b.text(sc.data); err != nil {
+				return nil, s.trip(idx, len(b.stack), err)
 			}
 		}
 	}
@@ -398,20 +327,18 @@ func (s *SubtreeScanner) buildSubtree(start xml.StartElement, startOff int64) (*
 // skipTripped discards the rest of a guard-tripped subtree: tokens are
 // read and dropped until its open elements close. Well-formedness is
 // still checked (a malformed tail is fatal), but the tripped subtree's
-// content is not re-guarded — it already failed.
+// content is not re-guarded — it already failed. The scanner reports end
+// of input inside an open element as malformed, so EOF cannot end a skip.
 func (s *SubtreeScanner) skipTripped() error {
 	for s.skip > 0 {
-		tok, err := s.dec.Token()
-		if err == io.EOF {
-			return malformed("%d unclosed elements", s.open+s.skip)
-		}
+		kind, err := s.p.sc.next()
 		if err != nil {
-			return fmt.Errorf("xmltree: parse: %w: %w", xsdferrors.ErrMalformedInput, err)
+			return malformedBy(err)
 		}
-		switch tok.(type) {
-		case xml.StartElement:
+		switch kind {
+		case tokStart:
 			s.skip++
-		case xml.EndElement:
+		case tokEnd:
 			s.skip--
 		}
 	}

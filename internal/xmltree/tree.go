@@ -98,14 +98,26 @@ func (n *Node) FanOut() int { return len(n.Children) }
 // Density returns the number of children having distinct labels (x.f̄ in the
 // paper): the node density factor of Proposition 3.
 func (n *Node) Density() int {
-	if len(n.Children) == 0 {
-		return 0
+	if len(n.Children) > 16 {
+		seen := make(map[string]struct{}, len(n.Children))
+		for _, c := range n.Children {
+			seen[c.Label] = struct{}{}
+		}
+		return len(seen)
 	}
-	seen := make(map[string]struct{}, len(n.Children))
-	for _, c := range n.Children {
-		seen[c.Label] = struct{}{}
+	// Narrow nodes, the common case, compare labels pairwise rather than
+	// build a set.
+	d := 0
+next:
+	for i, c := range n.Children {
+		for _, prev := range n.Children[:i] {
+			if prev.Label == c.Label {
+				continue next
+			}
+		}
+		d++
 	}
-	return len(seen)
+	return d
 }
 
 // IsLeaf reports whether the node has no children.

@@ -83,6 +83,25 @@ func TestDensityVsFanOut(t *testing.T) {
 	}
 }
 
+// TestDensityCountsDistinctLabels: the pairwise count Density uses for
+// narrow nodes and the set it uses for wide ones both equal the number of
+// distinct child labels.
+func TestDensityCountsDistinctLabels(t *testing.T) {
+	f := func(labels []uint8) bool {
+		n := &Node{}
+		distinct := map[string]bool{}
+		for _, l := range labels {
+			s := string(rune('a' + l%12))
+			n.AddChild(&Node{Label: s})
+			distinct[s] = true
+		}
+		return n.Density() == len(distinct)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDistanceMatchesPaperExample(t *testing.T) {
 	tr := buildFigure6(t)
 	cast := tr.Node(2)

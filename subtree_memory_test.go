@@ -129,12 +129,19 @@ func TestSubtreeModeBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := guarded.Disambiguate(&syntheticXML{target: docBytes})
+	gen := &syntheticXML{target: docBytes}
+	res, err := guarded.Disambiguate(gen)
 	if res != nil || err == nil {
 		t.Fatalf("whole-document mode accepted a %d MiB document (err=%v)", docBytes>>20, err)
 	}
 	var le *xsdferrors.LimitError
 	if !errors.As(err, &le) || le.Limit != "nodes" {
 		t.Fatalf("whole-document mode error = %v, want a typed nodes LimitError", err)
+	}
+	// The parser streams: the guard trips after the ~4.8 MB of items that
+	// hold 100,000 nodes, not after reading the whole document.
+	if gen.produced > 8<<20 {
+		t.Errorf("whole-document mode read %.1f MiB before the nodes guard tripped, want <= 8 MiB",
+			float64(gen.produced)/(1<<20))
 	}
 }
