@@ -43,7 +43,9 @@ bench-snapshot:
 	exit $$status
 
 # bench-check re-runs the gated pipeline benchmarks and fails when
-# BenchmarkPipelineBatch/shared-cache (warm reprocess),
+# BenchmarkPipelineBatch/shared-cache (warm reprocess, concept-based),
+# BenchmarkPipelineBatch/shared-cache-combined (warm reprocess under the
+# combined method, so the concept-vector memo and the cosine run too),
 # BenchmarkPipelineBatch/cold-cache (fresh caches: every similarity memo
 # fills) or BenchmarkPipelineParse (the parse layer alone) regresses more
 # than 15% in ns/op (or allocs/op) against the committed
@@ -53,7 +55,7 @@ bench-check:
 	$(GO) build -o /tmp/xsdf-benchjson ./cmd/xsdf-benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkPipeline(Batch|Parse)' -benchmem -count 3 . | \
 	    /tmp/xsdf-benchjson -check BENCH_pipeline.json \
-	    -bench BenchmarkPipelineBatch/shared-cache,BenchmarkPipelineBatch/cold-cache,BenchmarkPipelineParse -max-regress 0.15
+	    -bench BenchmarkPipelineBatch/shared-cache,BenchmarkPipelineBatch/shared-cache-combined,BenchmarkPipelineBatch/cold-cache,BenchmarkPipelineParse -max-regress 0.15
 
 # load-smoke is the CI-sized load check: build the daemon and the
 # harness, serve on a local port, drive a short low-rate open-loop phase

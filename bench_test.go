@@ -457,6 +457,9 @@ func BenchmarkPipelineSingleDocument(b *testing.B) {
 //
 //   - shared-cache: one Framework reused across iterations, so after the
 //     first pass every pairwise similarity and sphere vector is warm;
+//   - shared-cache-combined: shared-cache under the combined method (the
+//     repository benchmark's configuration), so the context leg — the
+//     concept-vector memo and the cosine — runs as well;
 //   - cold-cache: a fresh Framework per iteration, the per-document-cache
 //     behavior the shared layer replaced;
 //   - parallel-nodes: the shared Framework with intra-document node
@@ -464,8 +467,9 @@ func BenchmarkPipelineSingleDocument(b *testing.B) {
 //
 // Tree regeneration is excluded via StopTimer.
 func BenchmarkPipelineBatch(b *testing.B) {
-	run := func(b *testing.B, fresh bool, nodeWorkers int) {
-		fw, err := xsdf.New(xsdf.Options{Radius: 2, NodeWorkers: nodeWorkers})
+	run := func(b *testing.B, fresh bool, nodeWorkers int, method xsdf.Method) {
+		opts := xsdf.Options{Radius: 2, NodeWorkers: nodeWorkers, Method: method}
+		fw, err := xsdf.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -481,7 +485,7 @@ func BenchmarkPipelineBatch(b *testing.B) {
 			b.StopTimer()
 			trees := freshCorpusTrees()
 			if fresh {
-				fw, err = xsdf.New(xsdf.Options{Radius: 2, NodeWorkers: nodeWorkers})
+				fw, err = xsdf.New(opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -498,9 +502,10 @@ func BenchmarkPipelineBatch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("shared-cache", func(b *testing.B) { run(b, false, 0) })
-	b.Run("cold-cache", func(b *testing.B) { run(b, true, 0) })
-	b.Run("parallel-nodes", func(b *testing.B) { run(b, false, -1) })
+	b.Run("shared-cache", func(b *testing.B) { run(b, false, 0, xsdf.ConceptBased) })
+	b.Run("shared-cache-combined", func(b *testing.B) { run(b, false, 0, xsdf.Combined) })
+	b.Run("cold-cache", func(b *testing.B) { run(b, true, 0, xsdf.ConceptBased) })
+	b.Run("parallel-nodes", func(b *testing.B) { run(b, false, -1, xsdf.ConceptBased) })
 }
 
 // BenchmarkPipelineParse measures the parse layer alone: one op parses

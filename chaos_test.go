@@ -74,6 +74,8 @@ func deriveChaosConfig(seed int64) chaosConfig {
 // chaosFrameworks caches one Framework per distinct option set, so the
 // shared similarity cache warms across schedules (poisoned reads never
 // enter the cache, so reuse cannot leak one seed's faults into another).
+// TestChaosSchedules empties it when it finishes, so the warm caches do
+// not count against later tests that measure the process heap.
 var chaosFrameworks = map[string]*xsdf.Framework{}
 
 func chaosFramework(t *testing.T, d xsdf.DegradeOptions, nodeWorkers int) *xsdf.Framework {
@@ -91,6 +93,7 @@ func chaosFramework(t *testing.T, d xsdf.DegradeOptions, nodeWorkers int) *xsdf.
 }
 
 func TestChaosSchedules(t *testing.T) {
+	t.Cleanup(func() { clear(chaosFrameworks) })
 	n := chaosSchedules
 	if testing.Short() {
 		n = 10

@@ -23,9 +23,10 @@ func (f *Framework) ProcessTrees(trees []*xmltree.Tree, workers int) ([]*Result,
 // ProcessTreesContext runs the pipeline over a batch of documents
 // concurrently, fault-isolated per document. The semantic network is
 // immutable and shared, and all workers memoize into the framework's
-// shared similarity/vector cache (sharded locks), so repeated vocabulary
-// across documents is scored once for the whole batch. Per-document state
-// is limited to the disambiguation run's pooled document table.
+// shared similarity/vector cache (lock-free warm reads), so repeated
+// vocabulary across documents is scored once for the whole batch.
+// Per-document state is limited to the disambiguation run's pooled
+// document table.
 //
 // Failure semantics: each document succeeds or fails independently.
 // Results are in input order; a slot is nil exactly when that document

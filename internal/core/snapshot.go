@@ -54,7 +54,7 @@ type LexiconInfo struct {
 
 // snapshot owns one lexicon version end to end: the immutable network
 // (with its build-time ConceptIndex, ancestor lists, gloss tokens, and
-// LCS memo) plus the sharded similarity/vector caches and the memoizing
+// LCS memo) plus the similarity/vector caches and the memoizing
 // linguistic pre-processor keyed by its vocabulary. Caches live here —
 // never on the Framework — so a swapped-in network can never be scored
 // against memos of its predecessor.

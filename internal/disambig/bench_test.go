@@ -85,7 +85,10 @@ func BenchmarkDocumentTable(b *testing.B) {
 	}
 	d := New(net, Options{Radius: 2, Method: Combined, SimWeights: simmeasure.EqualWeights(),
 		ConceptWeight: 0.5, ContextWeight: 0.5})
-	var lemmaOf []int32 // per matrix column
+	var (
+		lemmaOf []int32 // per matrix column
+		tally   cacheTally
+	)
 	readAll := func(t *docTable, viaMatrix bool) (cells int) {
 		lemmaOf = slices.Grow(lemmaOf[:0], t.ncols)[:t.ncols]
 		for i, c := range t.cols {
@@ -103,7 +106,7 @@ func BenchmarkDocumentTable(b *testing.B) {
 					if viaMatrix {
 						cell = &t.cells[(int(row)+k)*t.ncols+c2]
 					}
-					benchSink += d.wordSim(sense, lemma, cell)
+					benchSink += d.wordSim(sense, lemma, cell, &tally)
 					cells++
 				}
 			}

@@ -17,54 +17,34 @@ import (
 // vocabulary pays for each Sim(c1, c2) evaluation, each per-word maximum,
 // and each semantic-network sphere walk once, not once per document.
 //
-// Keys are dense int32 concept ids (the network's ConceptIndex) packed
-// into integers, and shard selection is a two-multiply mix — a warm lookup
-// hashes no strings and allocates nothing.
+// The similarity memos key on dense int32 concept ids packed into
+// integers (see simmeasure.Measure). The concept-vector memo is one
+// vecTable per radius, indexed by dense concept id: a warm read is one
+// index and one atomic load — no lock, no hashing, no allocation.
+//
+// Hit and miss counts are tallied by each run in its pooled scratch and
+// added to the counters once, when the run returns (flush), so a warm read
+// writes no shared memory.
 //
 // Invariants: the semantic network is immutable after Build, so every
 // cached value is a pure function of its key and never invalidates.
 // Cached sphere.Vector values are handed out shared — callers must treat
-// them as read-only (all in-tree consumers only read them). Sharded
-// read-write locks keep workers from serializing on a single mutex;
-// duplicated computation when two workers miss the same key concurrently
-// is harmless because both compute the identical value.
+// them as read-only (all in-tree consumers only read them). Duplicated
+// computation when two workers miss the same key concurrently is harmless
+// because both compute the identical value.
 type Cache struct {
 	net *semnet.Network
 	sim *simmeasure.Measure
 
-	vecs  [vecShardCount]vecShard  // single-sense semantic-network vectors
-	pairs [vecShardCount]pairShard // compound-label combined vectors (Eq. 12)
+	tables sync.Map // radius (int) -> *vecTable, created on first use
 
 	// scratch pools the dense BFS/vector buffers used to fill vector-cache
 	// misses, so a miss costs one sphere walk plus one Clone, not a fresh
 	// set of network-sized arrays.
 	scratch sync.Pool // *sphere.ConceptScratch
 
+	simHits, simMisses atomic.Uint64
 	vecHits, vecMisses atomic.Uint64
-}
-
-const vecShardCount = 32
-
-// vecKey identifies a single-sense vector: dense concept id + radius.
-type vecKey struct {
-	c semnet.DenseID
-	d int32
-}
-
-// pairKey identifies a combined vector: packed canonical dense pair + radius.
-type pairKey struct {
-	pq uint64
-	d  int32
-}
-
-type vecShard struct {
-	mu sync.RWMutex
-	m  map[vecKey]normedVector
-}
-
-type pairShard struct {
-	mu sync.RWMutex
-	m  map[pairKey]normedVector
 }
 
 // NewCache returns an empty cache over net with the given similarity
@@ -75,12 +55,6 @@ func NewCache(net *semnet.Network, w simmeasure.Weights) *Cache {
 		sim: simmeasure.New(net, w),
 	}
 	c.scratch.New = func() any { return new(sphere.ConceptScratch) }
-	for i := range c.vecs {
-		c.vecs[i].m = make(map[vecKey]normedVector)
-	}
-	for i := range c.pairs {
-		c.pairs[i].m = make(map[pairKey]normedVector)
-	}
 	return c
 }
 
@@ -92,6 +66,104 @@ func (c *Cache) Measure() *simmeasure.Measure { return c.sim }
 
 // Sim returns the memoized combined similarity of the pair.
 func (c *Cache) Sim(a, b semnet.ConceptID) float64 { return c.sim.Sim(a, b) }
+
+// vecTable is the concept-vector memo of one radius. Single-sense vectors
+// sit in one slot per dense concept id; a slot is stored once and only
+// read after. Compound-pair vectors (Eq. 12) sit in an immutable row per
+// lower dense id of the canonical pair, which a fill replaces
+// copy-on-write under mu, so a warm pair read is one atomic load and a
+// scan of a few entries.
+//
+// A miss computes its vector outside any lock and publishes it with one
+// store; workers racing on one fill store equal vectors, because the
+// network is immutable.
+type vecTable struct {
+	c     *Cache
+	d     int
+	vecs  []atomic.Pointer[normedVector]
+	pairs []atomic.Pointer[[]pairVector]
+	mu    sync.Mutex // serializes pair-row replacement
+}
+
+// pairVector is one entry of a pair row: the pair's higher dense id and
+// its combined vector.
+type pairVector struct {
+	q semnet.DenseID
+	v normedVector
+}
+
+// table returns the concept-vector memo of radius d, creating it the first
+// time the radius is used.
+func (c *Cache) table(d int) *vecTable {
+	if t, ok := c.tables.Load(d); ok {
+		return t.(*vecTable)
+	}
+	n := c.net.Len()
+	t, _ := c.tables.LoadOrStore(d, &vecTable{
+		c:     c,
+		d:     d,
+		vecs:  make([]atomic.Pointer[normedVector], n),
+		pairs: make([]atomic.Pointer[[]pairVector], n),
+	})
+	return t.(*vecTable)
+}
+
+// concept returns the vector V_d(s) of the sense with dense id id, and
+// whether the memo held it.
+func (t *vecTable) concept(id semnet.DenseID) (normedVector, bool) {
+	slot := &t.vecs[id]
+	if v := slot.Load(); v != nil {
+		return *v, true
+	}
+	s := t.c.scratch.Get().(*sphere.ConceptScratch)
+	v := normed(sphere.ConceptVectorInto(t.c.net, id, t.d, s).Clone())
+	t.c.scratch.Put(s)
+	slot.Store(&v)
+	return v, false
+}
+
+// pair returns the combined vector V_d(s_p, s_q), and whether the memo
+// held it. The union underlying the vector is symmetric in p and q, so
+// the pair is canonicalized to dense-ascending order for both the row and
+// the computation — cached and bypass paths fold weights in one order.
+func (t *vecTable) pair(p, q semnet.DenseID) (normedVector, bool) {
+	if q < p {
+		p, q = q, p
+	}
+	row := &t.pairs[p]
+	if v, ok := findPair(row.Load(), q); ok {
+		return v, true
+	}
+	s := t.c.scratch.Get().(*sphere.ConceptScratch)
+	v := normed(sphere.CombinedConceptVectorInto(t.c.net, p, q, t.d, s).Clone())
+	t.c.scratch.Put(s)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := row.Load()
+	if _, ok := findPair(old, q); ok {
+		return v, false // a racing fill published the pair first
+	}
+	var next []pairVector
+	if old != nil {
+		next = make([]pairVector, len(*old), len(*old)+1)
+		copy(next, *old)
+	}
+	next = append(next, pairVector{q: q, v: v})
+	row.Store(&next)
+	return v, false
+}
+
+// findPair returns the vector of the pair's higher id q in a row.
+func findPair(row *[]pairVector, q semnet.DenseID) (normedVector, bool) {
+	if row != nil {
+		for _, e := range *row {
+			if e.q == q {
+				return e.v, true
+			}
+		}
+	}
+	return normedVector{}, false
+}
 
 // ConceptVector returns the memoized semantic-network context vector
 // V_d(s) of a sense (Definition 10); unknown ids yield the empty vector.
@@ -106,29 +178,9 @@ func (c *Cache) ConceptVector(id semnet.ConceptID, d int) sphere.Vector {
 
 // ConceptVectorDense is ConceptVector keyed by dense id.
 func (c *Cache) ConceptVectorDense(id semnet.DenseID, d int) sphere.Vector {
-	return c.conceptVector(id, d).Vector
-}
-
-// conceptVector is ConceptVectorDense with the vector's squared norm,
-// summed once when the entry is filled.
-func (c *Cache) conceptVector(id semnet.DenseID, d int) normedVector {
-	key := vecKey{c: id, d: int32(d)}
-	sh := &c.vecs[semnet.MixPair(id, semnet.DenseID(d))%vecShardCount]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		c.vecHits.Add(1)
-		return v
-	}
-	c.vecMisses.Add(1)
-	s := c.scratch.Get().(*sphere.ConceptScratch)
-	v = normed(sphere.ConceptVectorInto(c.net, id, d, s).Clone())
-	c.scratch.Put(s)
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
-	return v
+	v, hit := c.table(d).concept(id)
+	c.countVector(hit)
+	return v.Vector
 }
 
 // PairVector returns the memoized combined concept vector V_d(s_p, s_q) of
@@ -143,37 +195,56 @@ func (c *Cache) PairVector(p, q semnet.ConceptID, d int) sphere.Vector {
 	return c.PairVectorDense(dp, dq, d)
 }
 
-// PairVectorDense is PairVector keyed by the canonical dense pair. The
-// union underlying the vector is symmetric in p and q, so the pair is
-// canonicalized to dense-ascending order for both the key and the
-// computation — cached and bypass paths fold weights in one order.
+// PairVectorDense is PairVector keyed by dense ids, in either order.
 func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
-	return c.pairVector(p, q, d).Vector
+	v, hit := c.table(d).pair(p, q)
+	c.countVector(hit)
+	return v.Vector
 }
 
-// pairVector is PairVectorDense with the vector's squared norm, summed
-// once when the entry is filled.
-func (c *Cache) pairVector(p, q semnet.DenseID, d int) normedVector {
-	if q < p {
-		p, q = q, p
-	}
-	key := pairKey{pq: semnet.PairKey(p, q), d: int32(d)}
-	sh := &c.pairs[semnet.MixPair(p, q)%vecShardCount]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
+// countVector counts one public vector lookup, which is its own run.
+func (c *Cache) countVector(hit bool) {
+	if hit {
 		c.vecHits.Add(1)
-		return v
+	} else {
+		c.vecMisses.Add(1)
 	}
-	c.vecMisses.Add(1)
-	s := c.scratch.Get().(*sphere.ConceptScratch)
-	v = normed(sphere.CombinedConceptVectorInto(c.net, p, q, d, s).Clone())
-	c.scratch.Put(s)
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
-	return v
+}
+
+// cacheTally counts one run's reads of the shared memos. The run keeps it
+// in its pooled scratch and adds it to the cache's counters once (flush)
+// before the scratch goes back to the pool.
+type cacheTally struct {
+	simHits, simMisses uint64
+	vecHits, vecMisses uint64
+}
+
+func (t *cacheTally) sim(hit bool) {
+	if hit {
+		t.simHits++
+	} else {
+		t.simMisses++
+	}
+}
+
+func (t *cacheTally) vector(hit bool) {
+	if hit {
+		t.vecHits++
+	} else {
+		t.vecMisses++
+	}
+}
+
+// flush adds a run's tally to the counters and zeroes it.
+func (c *Cache) flush(t *cacheTally) {
+	if *t == (cacheTally{}) {
+		return
+	}
+	c.simHits.Add(t.simHits)
+	c.simMisses.Add(t.simMisses)
+	c.vecHits.Add(t.vecHits)
+	c.vecMisses.Add(t.vecMisses)
+	*t = cacheTally{}
 }
 
 // CacheStats is a point-in-time snapshot of the shared cache counters, for
@@ -182,8 +253,13 @@ func (c *Cache) pairVector(p, q semnet.DenseID, d int) normedVector {
 // the document path one per (candidate sense, context lemma) per document,
 // since the document's word matrix answers repeats, or one per read for a
 // document above the matrix cap; on the per-node path one per candidate
-// sense and context token. Counters are atomics: exact in serial runs,
-// approximate snapshots under concurrency.
+// sense and context token. VectorHits and VectorMisses count
+// concept-vector reads, single senses and compound pairs alike.
+//
+// Each run counts its reads locally and adds them when it returns (per
+// node worker, for a parallel run), so the counts are exact once the runs
+// that made the reads have returned, and a snapshot taken mid-run omits
+// that run's reads.
 type CacheStats struct {
 	SimHits, SimMisses       uint64
 	VectorHits, VectorMisses uint64
@@ -191,10 +267,9 @@ type CacheStats struct {
 
 // Stats reports hit/miss counts since construction.
 func (c *Cache) Stats() CacheStats {
-	h, m := c.sim.Stats()
 	return CacheStats{
-		SimHits:      h,
-		SimMisses:    m,
+		SimHits:      c.simHits.Load(),
+		SimMisses:    c.simMisses.Load(),
 		VectorHits:   c.vecHits.Load(),
 		VectorMisses: c.vecMisses.Load(),
 	}

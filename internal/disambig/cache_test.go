@@ -3,13 +3,18 @@ package disambig
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/lingproc"
+	"repro/internal/semnet"
 	"repro/internal/simmeasure"
+	"repro/internal/sphere"
 	"repro/internal/wordnet"
 	"repro/internal/xmltree"
 	"repro/xsdferrors"
@@ -170,6 +175,112 @@ func TestSharedCacheAcrossDocuments(t *testing.T) {
 		t.Error("context-based scoring should populate the vector cache")
 	}
 	t.Logf("shared cache stats: %+v", st)
+}
+
+// TestWarmVectorLookupAllocationFree is the vector-memo companion of
+// simmeasure's TestWarmSimLookupAllocationFree: once the per-radius table
+// holds a sample of single senses and compound pairs, sweeping them again
+// — through the disambiguator's table and through the public lookups —
+// performs zero heap allocations.
+func TestWarmVectorLookupAllocationFree(t *testing.T) {
+	net := wordnet.Default()
+	c := NewCache(net, simmeasure.EqualWeights())
+	d := NewShared(c, Options{Radius: 2})
+	var ids []semnet.DenseID
+	for i := range 40 {
+		ids = append(ids, semnet.DenseID(i*net.Len()/40))
+	}
+	var tl cacheTally
+	sweep := func() {
+		for _, p := range ids {
+			benchSink += d.conceptVectorD(p, &tl).norm2
+			benchSink += float64(c.ConceptVectorDense(p, 2).Len())
+			for _, q := range ids[:8] {
+				benchSink += d.pairVectorD(p, q, &tl).norm2
+				benchSink += float64(c.PairVectorDense(q, p, 2).Len())
+			}
+		}
+	}
+	sweep()
+	tl = cacheTally{}
+	if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+		t.Errorf("warm vector-table sweep allocates %.1f times, want 0", allocs)
+	}
+	if tl.vecMisses != 0 || tl.vecHits == 0 {
+		t.Errorf("warm sweeps tallied %d hits and %d misses, want only hits", tl.vecHits, tl.vecMisses)
+	}
+}
+
+// TestVectorTableConcurrentFills: goroutines sharing one fresh table race
+// the fills of the same single senses and compound pairs (each sweeping
+// from a different starting point, pairs in both argument orders); every
+// read must equal the uncached vector bit for bit, and every pair row
+// must end up holding each pair once. Run under -race.
+func TestVectorTableConcurrentFills(t *testing.T) {
+	const workers = 4
+	net := wordnet.Default()
+	vt := NewCache(net, simmeasure.EqualWeights()).table(2)
+	var ids []semnet.DenseID
+	for i := range 24 {
+		ids = append(ids, semnet.DenseID(i*net.Len()/24))
+	}
+	same := func(got normedVector, want sphere.Vector) bool {
+		if !slices.Equal(got.Dims, want.Dims) || len(got.Weights) != len(want.Weights) ||
+			math.Float64bits(got.norm2) != math.Float64bits(sphere.SquaredNorm(want)) {
+			return false
+		}
+		for i, w := range want.Weights {
+			if math.Float64bits(got.Weights[i]) != math.Float64bits(w) {
+				return false
+			}
+		}
+		return true
+	}
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s sphere.ConceptScratch
+			for k := range ids {
+				p := ids[(k+w*len(ids)/workers)%len(ids)]
+				if v, _ := vt.concept(p); !same(v, sphere.ConceptVectorInto(net, p, 2, &s)) {
+					errs <- fmt.Sprintf("worker %d: vector of %d differs from the uncached one", w, p)
+					return
+				}
+				for _, q := range ids[:6] {
+					a, b := p, q
+					if w%2 == 1 {
+						a, b = q, p
+					}
+					lo, hi := min(p, q), max(p, q)
+					if v, _ := vt.pair(a, b); !same(v, sphere.CombinedConceptVectorInto(net, lo, hi, 2, &s)) {
+						errs <- fmt.Sprintf("worker %d: vector of pair (%d, %d) differs from the uncached one", w, a, b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for p := range vt.pairs {
+		row := vt.pairs[p].Load()
+		if row == nil {
+			continue
+		}
+		seen := map[semnet.DenseID]bool{}
+		for _, e := range *row {
+			if seen[e.q] || e.q < semnet.DenseID(p) {
+				t.Errorf("row %d: pair (%d, %d) duplicated or not canonical", p, p, e.q)
+			}
+			seen[e.q] = true
+		}
+	}
 }
 
 // TestSharedDisambiguatorConcurrent shares ONE Disambiguator (and so one

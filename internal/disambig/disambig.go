@@ -146,6 +146,7 @@ type Disambiguator struct {
 	net   *semnet.Network
 	opts  Options
 	cache *Cache
+	vecs  *vecTable // the cache's concept-vector memo at opts.Radius
 
 	// bypassCache, set only by differential tests, recomputes every
 	// similarity, vector, and context from scratch on each call and
@@ -175,6 +176,7 @@ func NewShared(cache *Cache, opts Options) *Disambiguator {
 		net:   cache.Network(),
 		opts:  opts,
 		cache: cache,
+		vecs:  cache.table(opts.Radius),
 	}
 }
 
@@ -197,14 +199,18 @@ type contextNode struct {
 // preparedContext is the fully-resolved sphere context of one target node:
 // the Definition 6–7 context vector, one label id per member token (-1
 // when the token names no concept), and the sphere size. On the document
-// path the lemma ids are the table's and tab holds the word matrix; the
-// per-node build owns its lemma ids and leaves tab nil.
+// path the lemma ids are the table's, tab holds the word matrix, and dense
+// holds the context vector scattered by dimension (all zero between
+// targets); the per-node build owns its lemma ids and leaves tab nil.
+// tally counts the memo reads of the run the context is scored in.
 type preparedContext struct {
 	vec    normedVector
 	ctx    []contextNode
 	lemmas []int32
 	tab    *docTable
+	dense  []float64
 	size   int
+	tally  *cacheTally
 }
 
 // normedVector is a context vector with its squared norm, summed once in
@@ -224,7 +230,8 @@ func normed(v sphere.Vector) normedVector {
 // the integer BFS of the document path, the shared vector fold, and the
 // preparedContext whose slices are reused. Each scoring goroutine draws
 // one from ctxScratchPool, so the warm steady state allocates nothing for
-// context construction.
+// context construction, and tallies its memo reads in it until
+// releaseScratch.
 type ctxScratch struct {
 	sph        sphere.Scratch
 	pos        sphere.PosScratch
@@ -232,9 +239,17 @@ type ctxScratch struct {
 	memberDims []int32
 	lemmas     []int32
 	pc         preparedContext
+	tally      cacheTally
 }
 
 var ctxScratchPool = sync.Pool{New: func() any { return new(ctxScratch) }}
+
+// releaseScratch adds the scratch's tally to the cache's counters and
+// returns the scratch to the pool.
+func (d *Disambiguator) releaseScratch(s *ctxScratch) {
+	d.cache.flush(&s.tally)
+	ctxScratchPool.Put(s)
+}
 
 // buildContextInto is the per-node context build — the single-node APIs'
 // path and the bypass oracle. It runs the sphere BFS once and derives the
@@ -253,7 +268,7 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 	pc.vec = normed(sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md))
 	pc.size = len(members)
 	pc.ctx = pc.ctx[:0]
-	pc.tab = nil
+	pc.tab, pc.tally = nil, &s.tally
 	s.lemmas = s.lemmas[:0]
 	for i, m := range members {
 		if m.Node == x {
@@ -397,8 +412,9 @@ func (d *Disambiguator) publicCandidate(ids ...semnet.ConceptID) candidate {
 //
 // A cell holds the complemented bits of the memo's value, so a zeroed
 // cell reads as empty; a value whose complement is zero is never cached.
-// Workers racing on one cell store identical bits.
-func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint64) float64 {
+// Workers racing on one cell store identical bits. Memo reads are counted
+// in tl.
+func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint64, tl *cacheTally) float64 {
 	if d.bypassCache {
 		if s < 0 {
 			return 0
@@ -416,7 +432,8 @@ func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint
 			return math.Float64frombits(^b)
 		}
 	}
-	v := d.cache.Measure().WordSimDense(s, lemma)
+	v, hit := d.cache.Measure().WordSimDense(s, lemma)
+	tl.sim(hit)
 	if cell != nil {
 		cell.Store(^math.Float64bits(v))
 	}
@@ -436,7 +453,7 @@ func (d *Disambiguator) simToContextNode(s semnet.DenseID, row int32, pc *prepar
 		if l < 0 {
 			continue
 		}
-		sum += d.wordSim(s, l, pc.cell(row, i))
+		sum += d.wordSim(s, l, pc.cell(row, i), pc.tally)
 		counted++
 	}
 	if counted == 0 {
@@ -478,7 +495,7 @@ func (d *Disambiguator) ContextScoreCompound(sp, sq semnet.ConceptID, x *xmltree
 // through pooled scratch.
 func (d *Disambiguator) scoreNode(method Method, x *xmltree.Node, c candidate) float64 {
 	s := ctxScratchPool.Get().(*ctxScratch)
-	defer ctxScratchPool.Put(s)
+	defer d.releaseScratch(s)
 	return d.scoreAs(method, &c, d.buildContextInto(x, s))
 }
 
@@ -499,8 +516,8 @@ func (d *Disambiguator) conceptScoreCtx(c *candidate, pc *preparedContext) float
 }
 
 // conceptVectorD returns the cached semantic-network context vector of a
-// sense (empty for the -1 sentinel).
-func (d *Disambiguator) conceptVectorD(c semnet.DenseID) normedVector {
+// sense (empty for the -1 sentinel), counting the memo read in tl.
+func (d *Disambiguator) conceptVectorD(c semnet.DenseID, tl *cacheTally) normedVector {
 	if c < 0 {
 		return normedVector{}
 	}
@@ -508,14 +525,16 @@ func (d *Disambiguator) conceptVectorD(c semnet.DenseID) normedVector {
 		var s sphere.ConceptScratch
 		return normed(sphere.ConceptVectorInto(d.net, c, d.opts.Radius, &s))
 	}
-	return d.cache.conceptVector(c, d.opts.Radius)
+	v, hit := d.vecs.concept(c)
+	tl.vector(hit)
+	return v
 }
 
 // pairVectorD returns the cached combined concept vector of a compound
-// candidate pair (empty when either id is the -1 sentinel). The pair is
-// canonicalized to dense-ascending order so bypass and cached builds fold
-// weights identically.
-func (d *Disambiguator) pairVectorD(p, q semnet.DenseID) normedVector {
+// candidate pair (empty when either id is the -1 sentinel), counting the
+// memo read in tl. The pair is canonicalized to dense-ascending order so
+// bypass and cached builds fold weights identically.
+func (d *Disambiguator) pairVectorD(p, q semnet.DenseID, tl *cacheTally) normedVector {
 	if p < 0 || q < 0 {
 		return normedVector{}
 	}
@@ -526,7 +545,9 @@ func (d *Disambiguator) pairVectorD(p, q semnet.DenseID) normedVector {
 		var s sphere.ConceptScratch
 		return normed(sphere.CombinedConceptVectorInto(d.net, p, q, d.opts.Radius, &s))
 	}
-	return d.cache.pairVector(p, q, d.opts.Radius)
+	v, hit := d.vecs.pair(p, q)
+	tl.vector(hit)
+	return v
 }
 
 // scoreAs evaluates one candidate under an explicit method — the seam the
@@ -550,19 +571,25 @@ func (d *Disambiguator) scoreAs(method Method, c *candidate, pc *preparedContext
 }
 
 // contextScoreCtx is the context-based leg of scoreAs. With the default
-// cosine both norms are precomputed, so it costs one dot product; the
-// bypass oracle and the other measures run the generic function.
+// cosine both norms are precomputed, so it costs one dot product: gathered
+// from the scattered context vector on the document path, merged on the
+// per-node path. The bypass oracle and the other measures run the generic
+// function.
 func (d *Disambiguator) contextScoreCtx(c *candidate, pc *preparedContext) float64 {
 	var cv normedVector
 	if c.n == 2 {
-		cv = d.pairVectorD(c.ids[0], c.ids[1])
+		cv = d.pairVectorD(c.ids[0], c.ids[1], pc.tally)
 	} else {
-		cv = d.conceptVectorD(c.ids[0])
+		cv = d.conceptVectorD(c.ids[0], pc.tally)
 	}
-	if d.opts.VectorSim == nil && !d.bypassCache {
+	switch {
+	case d.opts.VectorSim != nil || d.bypassCache:
+		return d.opts.vectorSim()(pc.vec.Vector, cv.Vector)
+	case pc.tab != nil:
+		return sphere.CosineGather(pc.vec.Vector, pc.dense, cv.Vector, pc.vec.norm2, cv.norm2)
+	default:
 		return sphere.CosineWithNorms(pc.vec.Vector, cv.Vector, pc.vec.norm2, cv.norm2)
 	}
-	return d.opts.vectorSim()(pc.vec.Vector, cv.Vector)
 }
 
 // Node disambiguates a single target node: it enumerates candidate senses
@@ -587,13 +614,15 @@ func (d *Disambiguator) nodeWith(x *xmltree.Node, method Method) (Sense, bool) {
 		return d.monosemous(a), true
 	}
 	s := ctxScratchPool.Get().(*ctxScratch)
-	defer ctxScratchPool.Put(s)
+	defer d.releaseScratch(s)
 	return d.best(method, a, b, d.buildContextInto(x, s)), true
 }
 
 // nodeInDoc is nodeWith for the target at table position p: its readings
 // and context come from the table, and its concept scores read the word
-// matrix.
+// matrix. The scattered context vector is cleared when the target is
+// done, on every path out, so the scratch's dense array is all zero
+// between targets.
 func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScratch) (Sense, bool) {
 	a, b, ok := pick(t.readings(d.net, p))
 	if !ok {
@@ -602,7 +631,9 @@ func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScr
 	if len(b.senses) == 0 && len(a.senses) == 1 {
 		return d.monosemous(a), true
 	}
-	return d.best(method, a, b, t.contextAt(p, d.opts.Radius, s)), true
+	pc := t.contextAt(p, d.opts.Radius, s)
+	defer sphere.Unscatter(pc.dense, pc.vec.Vector)
+	return d.best(method, a, b, pc), true
 }
 
 // best scores every candidate of the picked readings — a's senses, or the
@@ -648,7 +679,7 @@ func (d *Disambiguator) Candidates(x *xmltree.Node) []Sense {
 		return []Sense{d.monosemous(a)}
 	}
 	s := ctxScratchPool.Get().(*ctxScratch)
-	defer ctxScratchPool.Put(s)
+	defer d.releaseScratch(s)
 	pc := d.buildContextInto(x, s)
 	var out []Sense
 	c := candidate{n: 1, rows: [2]int32{-1, -1}}
@@ -730,7 +761,7 @@ func (d *Disambiguator) ApplyReport(ctx context.Context, targets []*xmltree.Node
 		return d.applyParallel(ctx, targets, w, b, tab)
 	}
 	s := ctxScratchPool.Get().(*ctxScratch)
-	defer ctxScratchPool.Put(s)
+	defer d.releaseScratch(s)
 	assigned, attempted := 0, 0
 	done := ctx.Done()
 	for _, x := range targets {
@@ -829,7 +860,7 @@ func (d *Disambiguator) applyParallel(ctx context.Context, targets []*xmltree.No
 				}
 			}()
 			s := ctxScratchPool.Get().(*ctxScratch)
-			defer ctxScratchPool.Put(s)
+			defer d.releaseScratch(s)
 			done := ctx.Done()
 			for x := range jobs {
 				if done != nil {

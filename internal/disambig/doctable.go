@@ -39,6 +39,7 @@ type docTable struct {
 	rows   []int32          // per column: first matrix row of the lemma's senses, -1 if none
 	cells  []atomic.Uint64  // Definition 8's per-word maxima, rows × ncols; empty above matrixCap
 	ncols  int
+	ndims  int             // NumLabels plus the document's distinct unknown labels
 	stack  []*xmltree.Node // build scratch: preorder walk
 	keys   []uint64        // build scratch: (lemma, token) sort keys
 	unk    []int32         // build scratch: positions with unknown labels
@@ -168,6 +169,7 @@ func (t *docTable) resolveLabels(d *Disambiguator) {
 		}
 		t.dims[pos] = dim
 	}
+	t.ndims = int(dim) + 1
 }
 
 // resolveMatrix gives each distinct known lemma of the document a matrix
@@ -248,19 +250,26 @@ func (t *docTable) reading(net *semnet.Network, i int32) reading {
 }
 
 // contextAt builds the sphere context of the target at p into s: the
-// integer BFS, the fold over the table's dimensions, and context nodes
-// pointing into the table's lemma ranges. The result aliases s and t.
+// integer BFS, the fold over the table's dimensions, the vector scattered
+// into the scratch's dense array (which must be all zero; the caller
+// clears it with sphere.Unscatter when the target is scored), and context
+// nodes pointing into the table's lemma ranges, each weight read from the
+// dense array. The result aliases s and t.
 func (t *docTable) contextAt(p int32, radius int, s *ctxScratch) *preparedContext {
 	members := sphere.SphereAt(t.graph, p, radius, &s.pos)
 	pc := &s.pc
 	pc.vec = normed(sphere.VectorFromDimsInto(members, t.dims, radius, &s.vec))
 	pc.size = len(members)
-	pc.lemmas, pc.tab = t.lemmas, t
+	pc.lemmas, pc.tab, pc.tally = t.lemmas, t, &s.tally
+	if len(pc.dense) < t.ndims {
+		pc.dense = make([]float64, t.ndims)
+	}
+	sphere.Scatter(pc.dense, pc.vec.Vector)
 	pc.ctx = pc.ctx[:0]
 	for _, m := range members[1:] { // members[0] is the center
 		var w float64
 		if dim := t.dims[m.Pos]; dim >= 0 {
-			w = pc.vec.WeightOf(dim)
+			w = pc.dense[dim]
 		}
 		pc.ctx = append(pc.ctx, contextNode{weight: w, lemmaStart: t.lemOff[m.Pos], lemmaEnd: t.lemOff[m.Pos+1]})
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -257,6 +258,7 @@ func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 		unknown = slices.Compact(unknown)
 
 		g := tab.contextAt(p, radius, &got)
+		sphere.Unscatter(g.dense, g.vec.Vector)
 		w := d.buildContextInto(x, &want)
 		if g.size != w.size || len(g.ctx) != len(w.ctx) {
 			return fmt.Errorf("node %d: size %d/%d context nodes, reference %d/%d",
@@ -365,6 +367,87 @@ func FuzzDocumentContext(f *testing.F) {
 			t.Fatalf("radius %d links %v: %v", radius, links, err)
 		}
 	})
+}
+
+// TestScatterArrayClearedAfterDocument: the document path scatters each
+// target's context vector into its scratch's dense array and clears it
+// once the target is scored, so after a document every scratch's array is
+// all zero — scored serially on one scratch, and by three node workers on
+// one scratch each, as ApplyReport's workers are. Scratches ApplyReport
+// itself returned to the pool, serially and with node workers, must be
+// all zero too.
+func TestScatterArrayClearedAfterDocument(t *testing.T) {
+	net := wordnet.Default()
+	opts := Options{Radius: 2, Method: Combined, SimWeights: simmeasure.EqualWeights(),
+		ConceptWeight: 0.5, ContextWeight: 0.5}
+	d := New(net, opts)
+	targets := goldenTree(t, false).Nodes()
+	tab := d.docTableFor(targets)
+	if tab == nil {
+		t.Fatal("no document table")
+	}
+	defer tab.release()
+	if tab.ndims <= net.NumLabels() {
+		t.Fatalf("document has no unknown label dimensions (%d dimensions)", tab.ndims)
+	}
+	cleared := func(s *ctxScratch) error {
+		for dim, w := range s.pc.dense {
+			if w != 0 {
+				return fmt.Errorf("dimension %d holds %v", dim, w)
+			}
+		}
+		return nil
+	}
+
+	serial := new(ctxScratch)
+	for _, x := range targets {
+		p, _ := tab.position(x)
+		d.nodeInDoc(tab, p, d.opts.Method, serial)
+	}
+	if len(serial.pc.dense) < tab.ndims {
+		t.Fatalf("dense array has %d dimensions, the document %d", len(serial.pc.dense), tab.ndims)
+	}
+	if err := cleared(serial); err != nil {
+		t.Errorf("serial scratch after the document: %v", err)
+	}
+
+	workers := []*ctxScratch{new(ctxScratch), new(ctxScratch), new(ctxScratch)}
+	var wg sync.WaitGroup
+	for w, s := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(targets); i += len(workers) {
+				p, _ := tab.position(targets[i])
+				d.nodeInDoc(tab, p, d.opts.Method, s)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, s := range workers {
+		if err := cleared(s); err != nil {
+			t.Errorf("node worker %d's scratch after the document: %v", w, err)
+		}
+	}
+
+	for _, nodeWorkers := range []int{1, 3} {
+		o := opts
+		o.Workers = nodeWorkers
+		if _, err := New(net, o).ApplyReport(context.Background(), goldenTree(t, false).Nodes()); err != nil {
+			t.Fatal(err)
+		}
+		var drawn []*ctxScratch
+		for range 8 {
+			s := ctxScratchPool.Get().(*ctxScratch)
+			drawn = append(drawn, s)
+			if err := cleared(s); err != nil {
+				t.Errorf("pooled scratch after ApplyReport with %d node workers: %v", nodeWorkers, err)
+			}
+		}
+		for _, s := range drawn {
+			ctxScratchPool.Put(s)
+		}
+	}
 }
 
 // TestDocumentFaultSeams pins the document path's fault-seam contract.

@@ -141,7 +141,7 @@ func TestWarmSimLookupAllocationFree(t *testing.T) {
 	wordSweep := func() {
 		for _, d := range dense {
 			for _, l := range lemmas {
-				m.WordSimDense(d, l)
+				simSink, _ = m.WordSimDense(d, l)
 			}
 		}
 	}

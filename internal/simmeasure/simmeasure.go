@@ -119,17 +119,6 @@ func (sh *simShard) insert(key uint64, v float64) {
 	sh.mu.Unlock()
 }
 
-// wordShard is one shard of the per-word memo: a simShard plus its own
-// hit/miss counters, padded so that no two shards' counters share a cache
-// line. A single counter pair written on every probe would make all
-// workers contend for one cache line; per-shard counters are written only
-// by the workers probing that shard, and Stats sums them.
-type wordShard struct {
-	simShard
-	hits, misses atomic.Uint64
-	_            [64]byte
-}
-
 // Measure evaluates combined semantic similarity between concepts of one
 // network. It keeps two memos, because disambiguation evaluates the same
 // sense pairs many times across context nodes — and, when one Measure is
@@ -145,6 +134,10 @@ type wordShard struct {
 // Shard selection is a two-multiply integer mix: a warm lookup allocates
 // nothing, hashes no strings, and takes Go's fast uint64 map-access path.
 //
+// Measure keeps no counters: WordSimDense reports whether the memo
+// answered, and callers that count reads tally them locally, so a warm
+// read of a merged entry writes no shared memory.
+//
 // Measure is safe for concurrent use: reads of merged entries are
 // lock-free (see simShard), and cached values are pure functions of the
 // immutable network, so duplicated computation under contention is
@@ -153,7 +146,7 @@ type Measure struct {
 	net     *semnet.Network
 	weights Weights
 	shards  [simShardCount]simShard
-	words   [simShardCount]wordShard
+	words   [simShardCount]simShard
 }
 
 // New returns a Measure over net with the given (normalized) weights.
@@ -216,15 +209,15 @@ func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
 // max_j Sim(s, s_j)) over the senses s_j of the lemma with label id lemma
 // (semnet.Network.LemmaDense) — the inner maximum of Definition 8, which
 // depends only on (s, lemma) and is memoized per pair. A fill evaluates
-// the sense pairs through SimDense. s and lemma must be in range.
-func (m *Measure) WordSimDense(s semnet.DenseID, lemma int32) float64 {
+// the sense pairs through SimDense. hit reports whether the memo answered
+// (false: this call computed and filled the entry). s and lemma must be in
+// range.
+func (m *Measure) WordSimDense(s semnet.DenseID, lemma int32) (v float64, hit bool) {
 	key := semnet.PairKey(s, lemma)
 	sh := &m.words[semnet.MixPair(s, lemma)%simShardCount]
-	if v, ok := sh.lookup(key); ok {
-		sh.hits.Add(1)
-		return v
+	if cached, ok := sh.lookup(key); ok {
+		return cached, true
 	}
-	sh.misses.Add(1)
 	best := 0.0
 	for _, sj := range m.net.LemmaSensesDense(lemma) {
 		if v := m.SimDense(s, sj); v > best {
@@ -232,7 +225,7 @@ func (m *Measure) WordSimDense(s semnet.DenseID, lemma int32) float64 {
 		}
 	}
 	sh.insert(key, best)
-	return best
+	return best, false
 }
 
 // WordSimDirectDense is WordSimDense without consulting or filling either
@@ -338,17 +331,6 @@ func (m *Measure) nodeICDense(c1, c2, lcs semnet.DenseID) float64 {
 		return 1
 	}
 	return v
-}
-
-// Stats reports word-memo hits and misses (WordSimDense lookups) since
-// construction. The counters are per-shard atomics summed here: exact in
-// serial runs, approximate snapshots under concurrency.
-func (m *Measure) Stats() (hits, misses uint64) {
-	for i := range m.words {
-		hits += m.words[i].hits.Load()
-		misses += m.words[i].misses.Load()
-	}
-	return hits, misses
 }
 
 // Edge is the Wu-Palmer edge-based measure:

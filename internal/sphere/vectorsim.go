@@ -91,11 +91,50 @@ func CosineWithNorms(a, b Vector, na, nb float64) float64 {
 			j++
 		}
 	}
+	return normalizedDot(dot, na, nb)
+}
+
+// normalizedDot divides a dot product by the vectors' norms, given
+// squared, guarding against rounding above 1.
+func normalizedDot(dot, na, nb float64) float64 {
 	v := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	if v > 1 { // guard against rounding
+	if v > 1 {
 		return 1
 	}
 	return v
+}
+
+// Scatter writes v's weights into dense at v's dimensions, which must be
+// in range. dense is expected to be all zero before, so that it holds v
+// and zeros elsewhere; Unscatter restores that state.
+func Scatter(dense []float64, v Vector) {
+	for i, dim := range v.Dims {
+		dense[dim] = v.Weights[i]
+	}
+}
+
+// Unscatter zeroes dense at v's dimensions, undoing Scatter(dense, v).
+func Unscatter(dense []float64, v Vector) {
+	for _, dim := range v.Dims {
+		dense[dim] = 0
+	}
+}
+
+// CosineGather is CosineWithNorms with a given as Scatter(dense, a) as
+// well: the dot product gathers dense at b's dimensions in ascending
+// order, so no merge over a's dimensions is run. For finite weights it
+// returns Cosine's exact bits: a product on a dimension a lacks is ±0,
+// which leaves the running sum unchanged, so the sum adds the shared
+// products in the merge's order. dense must cover every dimension of b.
+func CosineGather(a Vector, dense []float64, b Vector, na, nb float64) float64 {
+	if len(a.Dims) == 0 || len(b.Dims) == 0 || na == 0 || nb == 0 {
+		return 0
+	}
+	var dot float64
+	for j, dim := range b.Dims {
+		dot += dense[dim] * b.Weights[j]
+	}
+	return normalizedDot(dot, na, nb)
 }
 
 // Jaccard returns the weighted (Ruzicka) Jaccard similarity:

@@ -228,11 +228,14 @@ func TestMergeJoinMatchesMapFold(t *testing.T) {
 	}
 }
 
-// TestCosineWithNormsMatchesCosine checks that the norm-cached cosine
-// returns Cosine's exact bits: on seeded random sparse vectors over a
-// small dimension range (so most pairs share some dimensions), and on the
-// edge cases — empty vectors, all-zero weights, disjoint, identical, and
-// one vector's dimensions nested in the other's.
+// TestCosineWithNormsMatchesCosine checks that the norm-cached cosine and
+// the gather cosine return Cosine's exact bits: on seeded random sparse
+// vectors over a small dimension range (so most pairs share some
+// dimensions), and on the edge cases — empty vectors, all-zero weights,
+// disjoint, identical, and one vector's dimensions nested in the other's.
+// Every first vector is scattered into one array that held the previous
+// pair's vector and was reset with Unscatter, which must leave it all
+// zero.
 func TestCosineWithNormsMatchesCosine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func() Vector {
@@ -261,12 +264,24 @@ func TestCosineWithNormsMatchesCosine(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		pairs = append(pairs, [2]Vector{random(), random()})
 	}
+	dense := make([]float64, 40)
 	for i, p := range pairs {
 		a, b := p[0], p[1]
 		want := Cosine(a, b)
 		got := CosineWithNorms(a, b, SquaredNorm(a), SquaredNorm(b))
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("pair %d %v · %v: CosineWithNorms %.17g, Cosine %.17g", i, a, b, got, want)
+		}
+		Scatter(dense, a)
+		got = CosineGather(a, dense, b, SquaredNorm(a), SquaredNorm(b))
+		Unscatter(dense, a)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pair %d %v · %v: CosineGather %.17g, Cosine %.17g", i, a, b, got, want)
+		}
+		for dim, w := range dense {
+			if w != 0 {
+				t.Fatalf("pair %d: dimension %d holds %v after Unscatter", i, dim, w)
+			}
 		}
 	}
 }
