@@ -16,9 +16,9 @@ race:
 	$(GO) test -race ./...
 
 # bench-snapshot re-records the committed performance baselines:
-#   BENCH_pipeline.json — the batch pipeline benchmark and the parse
-#   layer benchmark (gated by bench-check; diff it across PRs to catch
-#   regressions).
+#   BENCH_pipeline.json — the batch pipeline benchmark, the parse layer
+#   benchmark and the lexicon reload benchmark (gated by bench-check;
+#   diff it across PRs to catch regressions).
 #   BENCH_stream.json — the open-loop overload run (fixed 1000 req/s for
 #   30s plus a streaming pass) against a freshly served daemon. The rate
 #   is pinned rather than calibrated: since the integer-ID scoring core,
@@ -29,7 +29,7 @@ race:
 #   within the wire's lossless envelope.
 bench-snapshot:
 	$(GO) build -o /tmp/xsdf-benchjson ./cmd/xsdf-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPipeline(Batch|Parse)' -benchmem -count 3 . | /tmp/xsdf-benchjson > BENCH_pipeline.json
+	$(GO) test -run '^$$' -bench 'BenchmarkPipeline(Batch|Parse|Reload)' -benchmem -count 3 . | /tmp/xsdf-benchjson > BENCH_pipeline.json
 	@echo "wrote BENCH_pipeline.json"
 	$(GO) build -o /tmp/xsdfd ./cmd/xsdfd
 	$(GO) build -o /tmp/xsdf-loadgen ./cmd/xsdf-loadgen
@@ -47,15 +47,17 @@ bench-snapshot:
 # BenchmarkPipelineBatch/shared-cache-combined (warm reprocess under the
 # combined method, so the concept-vector memo and the cosine run too),
 # BenchmarkPipelineBatch/cold-cache (fresh caches: every similarity memo
-# fills) or BenchmarkPipelineParse (the parse layer alone) regresses more
-# than 15% in ns/op (or allocs/op) against the committed
+# fills), BenchmarkPipelineParse (the parse layer alone) or
+# BenchmarkPipelineReload (one lexicon hot-swap: load, validate, canary,
+# swap) regresses more than 15% in ns/op (or allocs/op) against the
+# committed
 # BENCH_pipeline.json. CI runs this on every pull request; refresh the
 # baseline with bench-snapshot when a change legitimately moves a number.
 bench-check:
 	$(GO) build -o /tmp/xsdf-benchjson ./cmd/xsdf-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPipeline(Batch|Parse)' -benchmem -count 3 . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkPipeline(Batch|Parse|Reload)' -benchmem -count 3 . | \
 	    /tmp/xsdf-benchjson -check BENCH_pipeline.json \
-	    -bench BenchmarkPipelineBatch/shared-cache,BenchmarkPipelineBatch/shared-cache-combined,BenchmarkPipelineBatch/cold-cache,BenchmarkPipelineParse -max-regress 0.15
+	    -bench BenchmarkPipelineBatch/shared-cache,BenchmarkPipelineBatch/shared-cache-combined,BenchmarkPipelineBatch/cold-cache,BenchmarkPipelineParse,BenchmarkPipelineReload -max-regress 0.15
 
 # load-smoke is the CI-sized load check: build the daemon and the
 # harness, serve on a local port, drive a short low-rate open-loop phase

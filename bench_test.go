@@ -11,6 +11,8 @@ package xsdf_test
 
 import (
 	"bytes"
+	"context"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -532,6 +534,30 @@ func BenchmarkPipelineParse(b *testing.B) {
 			if _, err := fw.ParseTree(strings.NewReader(doc)); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkPipelineReload measures one lexicon hot-swap: a
+// Framework.Reload of the embedded lexicon's codec file — load (checksum,
+// parse and build), structural validation, the canary pass on the
+// candidate snapshot, and the swap — the operation perfbench times as
+// reload_ms, under perfbench's method and radius.
+func BenchmarkPipelineReload(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "lexicon.semnet")
+	if _, err := xsdf.WriteNetworkFile(path, xsdf.DefaultNetwork(), "bench"); err != nil {
+		b.Fatal(err)
+	}
+	fw, err := xsdf.New(xsdf.Options{Radius: 2, Method: xsdf.Combined})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fw.Reload(ctx, path, xsdf.ReloadOptions{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

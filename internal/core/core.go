@@ -180,11 +180,18 @@ func New(net *semnet.Network, opts Options) (*Framework, error) {
 	}
 	f.pipe = f.newPipeline(true)
 	f.canaryPipe = f.newPipeline(false)
-	checksum := net.Checksum()
+	// A network read from a codec file carries the file's identity — the
+	// one a reload of that file reports. Any other network is identified
+	// by the checksum of its canonical Save bytes.
+	file, ok := net.File()
+	if !ok {
+		file.Checksum = net.Checksum()
+		file.Version = semnet.VersionLabel(file.Checksum)
+	}
 	f.snap.Store(f.newSnapshot(net, LexiconInfo{
 		Epoch:    f.epoch.Add(1),
-		Version:  semnet.VersionLabel(checksum),
-		Checksum: checksum,
+		Version:  file.Version,
+		Checksum: file.Checksum,
 		Source:   "construction",
 		Concepts: net.Len(),
 		LoadedAt: time.Now(),

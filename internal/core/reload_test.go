@@ -60,6 +60,40 @@ func TestConstructionLexiconInfo(t *testing.T) {
 	}
 }
 
+// TestFileLexiconIdentityStable: a framework built over a network read
+// from a codec file reports the file's version and checksum from epoch 1,
+// the identity a reload of the same file reports at epoch 2.
+func TestFileLexiconIdentityStable(t *testing.T) {
+	path, finfo := packDefault(t, "v7")
+	net, _, err := semnet.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := New(net, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := fw.LexiconInfo()
+	second, err := fw.Reload(context.Background(), path, ReloadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Epoch != 1 || second.Epoch != 2 {
+		t.Fatalf("epochs %d, %d", first.Epoch, second.Epoch)
+	}
+	if first.Version != "v7" || second.Version != "v7" || first.Checksum != finfo.Checksum || second.Checksum != finfo.Checksum {
+		t.Errorf("identity at epoch 1 %s/%s, at epoch 2 %s/%s, file %s/%s",
+			first.Version, first.Checksum, second.Version, second.Checksum, finfo.Version, finfo.Checksum)
+	}
+	res, err := fw.ProcessReader(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LexiconVersion != "v7" {
+		t.Errorf("result stamped %q, want v7", res.LexiconVersion)
+	}
+}
+
 func TestReloadSuccess(t *testing.T) {
 	fw := newTestFramework(t)
 	path, finfo := packDefault(t, "v2-test")

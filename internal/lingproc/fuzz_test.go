@@ -7,16 +7,20 @@ import (
 	"unicode/utf8"
 )
 
-// FuzzStem: the Porter stemmer must never panic and must keep output
-// within the input length bound (+1 for the e-restoration cases).
+// FuzzStem: on arbitrary bytes the Porter stemmer must never panic, must
+// keep output within the input length bound (+1 for the e-restoration
+// cases) and must equal the suffix-by-suffix stemmer it replaced.
 func FuzzStem(f *testing.F) {
-	for _, s := range []string{"caresses", "relational", "hopping", "sky", "", "a", "motoring", "électricité"} {
+	for _, s := range []string{"caresses", "relational", "hopping", "sky", "", "a", "motoring", "électricité", "yyyyy", "SYZYGY"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, w string) {
 		got := Stem(w)
 		if len(got) > len(w)+1 {
 			t.Fatalf("Stem(%q) = %q grew beyond bound", w, got)
+		}
+		if want := refStem(w); got != want {
+			t.Fatalf("Stem(%q) = %q, want %q", w, got, want)
 		}
 	})
 }

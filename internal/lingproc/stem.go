@@ -6,73 +6,85 @@ package lingproc
 // lowered byte-wise; non-ASCII bytes pass through untouched (the
 // algorithm's suffix rules only ever match ASCII), so output never grows
 // beyond the input (+1 for the e-restoration cases).
+//
+// The word is rewritten in a stack buffer, and a stem that is a prefix of
+// the input — most stems of lower-case words — is returned as a substring,
+// so a call allocates at most the stem itself.
 func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
-	w := make([]byte, len(word))
+	var buf [32]byte
+	w := buf[:0]
+	if len(word) >= len(buf) {
+		w = make([]byte, 0, len(word)+1)
+	}
 	for i := 0; i < len(word); i++ {
 		c := word[i]
 		if c >= 'A' && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		w[i] = c
+		w = append(w, c)
 	}
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
-	w = step2(w)
-	w = step3(w)
+	w = applyRules(w, &step2Rules, 0)
+	w = applyRules(w, &step3Rules, 0)
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if len(w) <= len(word) && string(w) == word[:len(w)] {
+		return word[:len(w)]
+	}
 	return string(w)
 }
 
-// isCons reports whether w[i] is a consonant in Porter's sense: a letter
-// other than a, e, i, o, u, and other than y preceded by a consonant.
-func isCons(w []byte, i int) bool {
-	switch w[i] {
-	case 'a', 'e', 'i', 'o', 'u':
-		return false
-	case 'y':
-		if i == 0 {
-			return true
-		}
-		return !isCons(w, i-1)
-	default:
-		return true
-	}
+// isVowelLetter reports whether c is a, e, i, o or u — a vowel whatever
+// precedes it.
+func isVowelLetter(c byte) bool {
+	return c == 'a' || c == 'e' || c == 'i' || c == 'o' || c == 'u'
 }
 
-// measure computes m, the number of VC sequences in w[:end].
+// isCons reports whether w[i] is a consonant in Porter's sense: a letter
+// other than a, e, i, o, u, and other than y preceded by a consonant. A y
+// is a consonant at the start of the word, so along a run of y's the
+// answer alternates from the letter before the run (a vowel when the run
+// starts the word).
+func isCons(w []byte, i int) bool {
+	k := i
+	for k >= 0 && w[k] == 'y' {
+		k--
+	}
+	base := k >= 0 && !isVowelLetter(w[k])
+	if (i-k)%2 == 1 {
+		return !base
+	}
+	return base
+}
+
+// measure computes m, the number of VC sequences in w[:end]: the
+// consonants that directly follow a vowel.
 func measure(w []byte, end int) int {
 	m := 0
-	i := 0
-	// skip initial consonants
-	for i < end && isCons(w, i) {
-		i++
-	}
-	for i < end {
-		// in vowel run
-		for i < end && !isCons(w, i) {
-			i++
+	prevVowel := false
+	for i := 0; i < end; i++ {
+		c := w[i]
+		vowel := isVowelLetter(c) || c == 'y' && i > 0 && !prevVowel
+		if !vowel && prevVowel {
+			m++
 		}
-		if i >= end {
-			break
-		}
-		m++
-		for i < end && isCons(w, i) {
-			i++
-		}
+		prevVowel = vowel
 	}
 	return m
 }
 
-// hasVowel reports whether w[:end] contains a vowel.
+// hasVowel reports whether w[:end] contains a vowel. Every letter before
+// the first vowel is a consonant, so a y there is a vowel unless it starts
+// the word.
 func hasVowel(w []byte, end int) bool {
 	for i := 0; i < end; i++ {
-		if !isCons(w, i) {
+		if c := w[i]; isVowelLetter(c) || c == 'y' && i > 0 {
 			return true
 		}
 	}
@@ -104,6 +116,9 @@ func cvc(w []byte, end int) bool {
 	return true
 }
 
+// endsIn reports whether w's last letter is c.
+func endsIn(w []byte, c byte) bool { return len(w) > 0 && w[len(w)-1] == c }
+
 func hasSuffix(w []byte, s string) bool {
 	if len(w) < len(s) {
 		return false
@@ -111,20 +126,10 @@ func hasSuffix(w []byte, s string) bool {
 	return string(w[len(w)-len(s):]) == s
 }
 
-// replaceSuffix replaces suffix s with r when the measure of the remaining
-// stem is > m. Returns the (possibly new) word and whether it matched s.
-func replaceSuffix(w []byte, s, r string, m int) ([]byte, bool) {
-	if !hasSuffix(w, s) {
-		return w, false
-	}
-	stemEnd := len(w) - len(s)
-	if measure(w, stemEnd) > m {
-		return append(w[:stemEnd], r...), true
-	}
-	return w, true
-}
-
 func step1a(w []byte) []byte {
+	if !endsIn(w, 's') {
+		return w
+	}
 	switch {
 	case hasSuffix(w, "sses"):
 		return w[:len(w)-2]
@@ -139,6 +144,9 @@ func step1a(w []byte) []byte {
 }
 
 func step1b(w []byte) []byte {
+	if !endsIn(w, 'd') && !endsIn(w, 'g') {
+		return w
+	}
 	if hasSuffix(w, "eed") {
 		if measure(w, len(w)-3) > 0 {
 			return w[:len(w)-1]
@@ -171,73 +179,89 @@ func step1b(w []byte) []byte {
 }
 
 func step1c(w []byte) []byte {
-	if hasSuffix(w, "y") && hasVowel(w, len(w)-1) {
+	if endsIn(w, 'y') && hasVowel(w, len(w)-1) {
 		w[len(w)-1] = 'i'
 	}
 	return w
 }
 
-var step2Rules = []struct{ s, r string }{
-	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"}, {"anci", "ance"},
-	{"izer", "ize"}, {"abli", "able"}, {"alli", "al"}, {"entli", "ent"},
-	{"eli", "e"}, {"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
-	{"ator", "ate"}, {"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
-	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
-}
+// suffixRule replaces suffix s by r when the measure of the stem before
+// s exceeds the step's bound.
+type suffixRule struct{ s, r string }
 
-func step2(w []byte) []byte {
-	for _, rule := range step2Rules {
-		var done bool
-		if w, done = replaceSuffix(w, rule.s, rule.r, 0); done {
-			return w
-		}
+// ruleTable holds a step's rules grouped by the second-to-last letter of
+// their suffix, each group in the step's list order. A word can only end
+// in a suffix whose penultimate letter it shares, so trying its group
+// finds the same first match as trying the whole list — the dispatch
+// Porter's reference implementation makes with a switch on that letter.
+type ruleTable [256][]suffixRule
+
+func groupRules(rules ...suffixRule) (t ruleTable) {
+	for _, r := range rules {
+		c := r.s[len(r.s)-2]
+		t[c] = append(t[c], r)
 	}
-	return w
+	return t
 }
 
-var step3Rules = []struct{ s, r string }{
-	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
-	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
-}
+var step2Rules = groupRules(
+	suffixRule{"ational", "ate"}, suffixRule{"tional", "tion"}, suffixRule{"enci", "ence"}, suffixRule{"anci", "ance"},
+	suffixRule{"izer", "ize"}, suffixRule{"abli", "able"}, suffixRule{"alli", "al"}, suffixRule{"entli", "ent"},
+	suffixRule{"eli", "e"}, suffixRule{"ousli", "ous"}, suffixRule{"ization", "ize"}, suffixRule{"ation", "ate"},
+	suffixRule{"ator", "ate"}, suffixRule{"alism", "al"}, suffixRule{"iveness", "ive"}, suffixRule{"fulness", "ful"},
+	suffixRule{"ousness", "ous"}, suffixRule{"aliti", "al"}, suffixRule{"iviti", "ive"}, suffixRule{"biliti", "ble"},
+)
 
-func step3(w []byte) []byte {
-	for _, rule := range step3Rules {
-		var done bool
-		if w, done = replaceSuffix(w, rule.s, rule.r, 0); done {
-			return w
-		}
+var step3Rules = groupRules(
+	suffixRule{"icate", "ic"}, suffixRule{"ative", ""}, suffixRule{"alize", "al"}, suffixRule{"iciti", "ic"},
+	suffixRule{"ical", "ic"}, suffixRule{"ful", ""}, suffixRule{"ness", ""},
+)
+
+// step4Rules drops each suffix when the measure exceeds 1.
+var step4Rules = groupRules(
+	suffixRule{"al", ""}, suffixRule{"ance", ""}, suffixRule{"ence", ""}, suffixRule{"er", ""},
+	suffixRule{"ic", ""}, suffixRule{"able", ""}, suffixRule{"ible", ""}, suffixRule{"ant", ""},
+	suffixRule{"ement", ""}, suffixRule{"ment", ""}, suffixRule{"ent", ""}, suffixRule{"ou", ""},
+	suffixRule{"ism", ""}, suffixRule{"ate", ""}, suffixRule{"iti", ""}, suffixRule{"ous", ""},
+	suffixRule{"ive", ""}, suffixRule{"ize", ""},
+)
+
+// applyRules rewrites the first rule of t whose suffix w ends in, when the
+// measure of the stem before it exceeds m; a matching suffix ends the
+// step either way. The replacement is never longer than the suffix, so
+// the rewrite stays in w's buffer.
+func applyRules(w []byte, t *ruleTable, m int) []byte {
+	if len(w) < 2 {
+		return w
 	}
-	return w
-}
-
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-	"ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-}
-
-func step4(w []byte) []byte {
-	for _, s := range step4Suffixes {
-		if !hasSuffix(w, s) {
+	for _, rule := range t[w[len(w)-2]] {
+		if !hasSuffix(w, rule.s) {
 			continue
 		}
-		stemEnd := len(w) - len(s)
-		if measure(w, stemEnd) > 1 {
-			return w[:stemEnd]
+		stemEnd := len(w) - len(rule.s)
+		if measure(w, stemEnd) > m {
+			return append(w[:stemEnd], rule.r...)
 		}
 		return w
 	}
-	// (m>1 and (*S or *T)) ION ->
+	return w
+}
+
+func step4(w []byte) []byte {
+	// (m>1 and (*S or *T)) ION -> applies only when no listed suffix
+	// matches; none of them ends in n.
 	if hasSuffix(w, "ion") {
 		stemEnd := len(w) - 3
 		if stemEnd > 0 && (w[stemEnd-1] == 's' || w[stemEnd-1] == 't') && measure(w, stemEnd) > 1 {
 			return w[:stemEnd]
 		}
+		return w
 	}
-	return w
+	return applyRules(w, &step4Rules, 1)
 }
 
 func step5a(w []byte) []byte {
-	if !hasSuffix(w, "e") {
+	if !endsIn(w, 'e') {
 		return w
 	}
 	stemEnd := len(w) - 1
@@ -249,7 +273,7 @@ func step5a(w []byte) []byte {
 }
 
 func step5b(w []byte) []byte {
-	if measure(w, len(w)) > 1 && doubleCons(w) && w[len(w)-1] == 'l' {
+	if endsIn(w, 'l') && doubleCons(w) && measure(w, len(w)) > 1 {
 		return w[:len(w)-1]
 	}
 	return w

@@ -1,8 +1,11 @@
 package lingproc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/corpus"
 )
 
 // TestStemKnownPairs exercises the classic Porter test vectors plus the
@@ -137,5 +140,90 @@ func TestStemNeverGrows(t *testing.T) {
 func TestStemLowercaseInputPreserved(t *testing.T) {
 	if got := Stem("Motoring"); got != "motor" {
 		t.Errorf("Stem should lower-case: got %q", got)
+	}
+}
+
+// stemProbe builds words that reach every rule of every step: prefixes
+// over vowels, y and consonants (every one up to two letters, and a few
+// longer ones of measure 2 and more) followed by a rule suffix or an
+// inflection and then by an inflection again, plus upper-case and
+// non-ASCII variants.
+func stemProbe() []string {
+	prefixes := []string{"abac", "bilat", "yoyo", "sensit", "controll", "ayeb", "tyby"}
+	for n, level := 0, []string{""}; n < 2; n++ {
+		var next []string
+		for _, p := range level {
+			for _, c := range "aeybcstl" {
+				next = append(next, p+string(c))
+			}
+		}
+		prefixes = append(prefixes, next...)
+		level = next
+	}
+	prefixes = append(prefixes, "")
+	var endings []string
+	for _, rules := range []*ruleTable{&step2Rules, &step3Rules, &step4Rules} {
+		for _, group := range rules {
+			for _, r := range group {
+				endings = append(endings, r.s)
+			}
+		}
+	}
+	endings = append(endings, "", "s", "ss", "sses", "ies", "eed", "ed", "ing", "at", "bl", "iz", "ll", "zz",
+		"ion", "sion", "tion", "y", "e", "le", "ble", "ful", "ness", "ly", "yy")
+	inflections := []string{"", "s", "ed", "ing", "ly", "e"}
+	var words []string
+	for _, p := range prefixes {
+		for _, e := range endings {
+			for _, f := range inflections {
+				words = append(words, p+e+f)
+			}
+		}
+	}
+	n := len(words)
+	for _, w := range words[:n:n] {
+		if len(w) > 3 {
+			words = append(words, strings.ToUpper(w[:2])+w[2:], w[:len(w)-2]+"\xc3\xa9"+w[len(w)-2:])
+		}
+	}
+	return append(words, strings.Repeat("y", 40), strings.Repeat("ab", 30)+"ational", "Motoring", "\xff\xfe\xfd")
+}
+
+// TestStemMatchesReference compares Stem with the suffix-by-suffix
+// stemmer it replaced on the rule probe, on the known pairs and on every
+// word of the benchmark corpus.
+func TestStemMatchesReference(t *testing.T) {
+	check := func(w string) {
+		t.Helper()
+		if got, want := Stem(w), refStem(w); got != want {
+			t.Fatalf("Stem(%q) = %q, want %q", w, got, want)
+		}
+	}
+	probe := stemProbe()
+	for _, w := range probe {
+		check(w)
+	}
+	for _, d := range corpus.GenerateScaled(1, 4) {
+		for _, n := range d.Tree.Nodes() {
+			for _, w := range Tokenize(n.Raw) {
+				check(w)
+			}
+		}
+	}
+	if len(probe) < 10000 {
+		t.Fatalf("probe has only %d words", len(probe))
+	}
+}
+
+// TestStemAllocations: a stem that is a prefix of a lower-case input is a
+// substring of it; otherwise the stem is the only allocation.
+func TestStemAllocations(t *testing.T) {
+	for _, c := range []struct {
+		word   string
+		allocs float64
+	}{{"relational", 1}, {"movies", 0}, {"directed", 0}, {"happy", 1}, {"Actors", 1}, {strings.Repeat("ab", 40) + "ness", 2}} {
+		if got := testing.AllocsPerRun(100, func() { Stem(c.word) }); got > c.allocs {
+			t.Errorf("Stem(%q): %v allocations, want at most %v", c.word, got, c.allocs)
+		}
 	}
 }

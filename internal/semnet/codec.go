@@ -28,12 +28,12 @@ import (
 func (n *Network) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# semnet v1: %d concepts\n", n.Len())
-	for _, id := range n.order {
-		c := n.concepts[id]
+	for d, id := range n.order {
+		c := &n.concepts[d]
 		fmt.Fprintf(bw, "c\t%s\t%g\t%s\t%s\n", id, c.Freq, strings.Join(c.Lemmas, "|"), c.Gloss)
 	}
-	for _, id := range n.order {
-		for _, e := range n.edges[id] {
+	for d, id := range n.order {
+		for _, e := range n.edges[d] {
 			// Emit each undirected pair once, in canonical direction.
 			switch e.Rel {
 			case Hypernym, Holonym:
@@ -48,47 +48,88 @@ func (n *Network) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxLineBytes is the longest line Load accepts, newline excluded, plus
+// one: the 4 MiB token buffer of the bufio.Scanner the codec was first
+// read with, whose error a longer line still reports.
+const maxLineBytes = 4 * 1024 * 1024
+
 // Load parses a network from the text interchange format.
 func Load(r io.Reader) (*Network, error) {
-	b := NewBuilder()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	data, readErr := io.ReadAll(r)
+	b, err := parse(string(data))
+	if err != nil {
+		return nil, err
+	}
+	if readErr != nil {
+		return nil, fmt.Errorf("semnet: load: %w", readErr)
+	}
+	return b.Build()
+}
+
+// parse reads the records of content into a Builder sized from a count of
+// its record lines. Fields are substrings of content: lines are cut at
+// each newline, one trailing carriage return is dropped, and fields are
+// cut at tabs in place, with the line numbers and error texts of the line
+// scanner and per-line split the codec was first read with.
+func parse(content string) (*Builder, error) {
+	b := newBuilder(strings.Count(content, "\nc\t")+1, strings.Count(content, "\nr\t")+1)
 	lineNo := 0
-	for sc.Scan() {
+	for rest := content; rest != ""; {
 		lineNo++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if len(line) >= maxLineBytes {
+			return nil, fmt.Errorf("semnet: load: %w", bufio.ErrTooLong)
+		}
+		line = strings.TrimSuffix(line, "\r")
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		switch fields[0] {
+		nf := strings.Count(line, "\t") + 1
+		kind, fields, _ := strings.Cut(line, "\t")
+		switch kind {
 		case "c":
-			if len(fields) != 5 {
-				return nil, fmt.Errorf("semnet: line %d: concept needs 5 tab-separated fields, got %d", lineNo, len(fields))
+			if nf != 5 {
+				return nil, fmt.Errorf("semnet: line %d: concept needs 5 tab-separated fields, got %d", lineNo, nf)
 			}
-			freq, err := strconv.ParseFloat(fields[2], 64)
+			id, fields, _ := strings.Cut(fields, "\t")
+			freqText, fields, _ := strings.Cut(fields, "\t")
+			lemmas, gloss, _ := strings.Cut(fields, "\t")
+			freq, err := strconv.ParseFloat(freqText, 64)
 			if err != nil {
-				return nil, fmt.Errorf("semnet: line %d: bad frequency %q", lineNo, fields[2])
+				return nil, fmt.Errorf("semnet: line %d: bad frequency %q", lineNo, freqText)
 			}
-			lemmas := strings.Split(fields[3], "|")
-			b.AddConcept(ConceptID(fields[1]), fields[4], freq, lemmas...)
+			if b.admit(ConceptID(id), 1) {
+				for {
+					l, more, found := strings.Cut(lemmas, "|")
+					b.addLemma(l)
+					if !found {
+						break
+					}
+					lemmas = more
+				}
+				b.commit(ConceptID(id), gloss, freq)
+			}
 		case "r":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("semnet: line %d: relation needs 4 fields, got %d", lineNo, len(fields))
+			if nf != 4 {
+				return nil, fmt.Errorf("semnet: line %d: relation needs 4 fields, got %d", lineNo, nf)
 			}
-			rel, err := parseRelation(fields[2])
+			from, fields, _ := strings.Cut(fields, "\t")
+			relText, to, _ := strings.Cut(fields, "\t")
+			rel, err := parseRelation(relText)
 			if err != nil {
 				return nil, fmt.Errorf("semnet: line %d: %v", lineNo, err)
 			}
-			b.AddEdge(ConceptID(fields[1]), rel, ConceptID(fields[3]))
+			b.AddEdge(ConceptID(from), rel, ConceptID(to))
 		default:
-			return nil, fmt.Errorf("semnet: line %d: unknown record %q", lineNo, fields[0])
+			return nil, fmt.Errorf("semnet: line %d: unknown record %q", lineNo, kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("semnet: load: %w", err)
-	}
-	return b.Build()
+	return b, nil
 }
 
 func parseRelation(s string) (Relation, error) {

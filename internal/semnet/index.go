@@ -29,17 +29,6 @@ type ConceptIndex struct {
 	dense map[ConceptID]DenseID
 }
 
-func newConceptIndex(order []ConceptID) *ConceptIndex {
-	ix := &ConceptIndex{
-		ids:   order,
-		dense: make(map[ConceptID]DenseID, len(order)),
-	}
-	for i, id := range order {
-		ix.dense[id] = DenseID(i)
-	}
-	return ix
-}
-
 // Len returns the number of indexed concepts.
 func (ix *ConceptIndex) Len() int { return len(ix.ids) }
 

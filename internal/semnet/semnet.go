@@ -12,7 +12,6 @@ package semnet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -102,18 +101,18 @@ func (c *Concept) Label() string {
 // methods are safe for concurrent use.
 //
 // Alongside the string-keyed API the Network carries a dense integer
-// representation (see index.go): every derived quantity the scoring hot
-// path reads — depth, information content, adjacency, ancestor lists,
-// expanded glosses — is stored in flat arrays indexed by dense concept
-// id, and the label universe (all lemmas, sorted) maps labels to dense
-// label ids, which serve as vector dimensions and index the per-lemma
-// sense lists. The string-keyed methods delegate through the index, so
-// both views are always consistent.
+// representation (see index.go): concepts and every derived quantity the
+// scoring hot path reads — depth, information content, adjacency,
+// ancestor lists, expanded glosses — are stored in flat arrays indexed by
+// dense concept id, and the label universe (all lemmas, sorted) maps
+// labels to dense label ids, which serve as vector dimensions and index
+// the per-lemma sense lists. The string-keyed methods delegate through the
+// concept index and the label ids, so both views are always consistent.
 type Network struct {
-	concepts map[ConceptID]*Concept
-	order    []ConceptID
-	edges    map[ConceptID][]Edge
-	byLemma  map[string][]ConceptID
+	concepts []Concept     // insertion order
+	order    []ConceptID   // concepts[d].ID, shared with the index
+	edges    [][]Edge      // ConceptID view of edgesD, same order
+	sensesS  [][]ConceptID // ConceptID view of sensesL
 
 	maxPolysemy int
 	maxDepth    int
@@ -154,6 +153,10 @@ type Network struct {
 	// bytes, the in-memory identity the hot-swap layer reports.
 	checksumOnce sync.Once
 	checksum     string
+
+	// file is the identity of the codec file ReadFile read the network
+	// from; nil for networks built in memory.
+	file *FileInfo
 }
 
 // lcsCache memoizes LCS results under sharded locks so one immutable
@@ -188,7 +191,12 @@ func lower(s string) string { return strings.ToLower(s) }
 func (n *Network) Len() int { return len(n.order) }
 
 // Concept returns the concept with the given id, or nil when unknown.
-func (n *Network) Concept(id ConceptID) *Concept { return n.concepts[id] }
+func (n *Network) Concept(id ConceptID) *Concept {
+	if d, ok := n.index.Dense(id); ok {
+		return &n.concepts[d]
+	}
+	return nil
+}
 
 // Concepts returns all concept ids in deterministic (insertion) order.
 func (n *Network) Concepts() []ConceptID { return n.order }
@@ -196,7 +204,7 @@ func (n *Network) Concepts() []ConceptID { return n.order }
 // HasLemma reports whether the word or multi-word expression names at least
 // one concept. It satisfies lingproc.Lexicon.
 func (n *Network) HasLemma(lemma string) bool {
-	_, ok := n.byLemma[strings.ToLower(lemma)]
+	_, ok := n.labelID[strings.ToLower(lemma)]
 	return ok
 }
 
@@ -206,7 +214,10 @@ func (n *Network) HasLemma(lemma string) bool {
 // WordNet's frequency-ordered sense lists; Senses(w)[0] is the dominant
 // sense.
 func (n *Network) Senses(lemma string) []ConceptID {
-	return n.byLemma[strings.ToLower(lemma)]
+	if l, ok := n.labelID[strings.ToLower(lemma)]; ok {
+		return n.sensesS[l]
+	}
+	return nil
 }
 
 // PolysemyOf returns the number of senses of the lemma.
@@ -218,12 +229,17 @@ func (n *Network) MaxPolysemy() int { return n.maxPolysemy }
 
 // Edges returns the outgoing edges of id (inverse edges are materialized at
 // build time, so the adjacency is effectively undirected with typed arcs).
-func (n *Network) Edges(id ConceptID) []Edge { return n.edges[id] }
+func (n *Network) Edges(id ConceptID) []Edge {
+	if d, ok := n.index.Dense(id); ok {
+		return n.edges[d]
+	}
+	return nil
+}
 
 // Hypernyms returns the direct hypernyms of id.
 func (n *Network) Hypernyms(id ConceptID) []ConceptID {
 	var out []ConceptID
-	for _, e := range n.edges[id] {
+	for _, e := range n.Edges(id) {
 		if e.Rel == Hypernym {
 			out = append(out, e.To)
 		}
@@ -341,7 +357,7 @@ func ancestorSetOf(list []ConceptID) map[ConceptID]struct{} {
 // concept (nil for unknown ids). It is computed on demand: the scoring
 // core reads the interned occurrence lists instead (GlossOccurrencesDense).
 func (n *Network) GlossTokens(id ConceptID) []string {
-	if c := n.concepts[id]; c != nil {
+	if c := n.Concept(id); c != nil {
 		return tokenizeGloss(c.Gloss)
 	}
 	return nil
@@ -376,7 +392,7 @@ func (n *Network) Neighborhood(id ConceptID, radius int) map[ConceptID]int {
 	for d := 1; d <= radius; d++ {
 		var next []ConceptID
 		for _, cur := range frontier {
-			for _, e := range n.edges[cur] {
+			for _, e := range n.Edges(cur) {
 				if _, dup := out[e.To]; dup {
 					continue
 				}
@@ -392,12 +408,7 @@ func (n *Network) Neighborhood(id ConceptID, radius int) map[ConceptID]int {
 // Lemmas returns every distinct word/expression in the network, sorted.
 // Useful for tests and corpus generation.
 func (n *Network) Lemmas() []string {
-	out := make([]string, 0, len(n.byLemma))
-	for l := range n.byLemma {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(n.labels)), n.labels...)
 }
 
 // TotalFreq returns the sum of all concept frequencies (the corpus size

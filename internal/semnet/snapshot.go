@@ -68,8 +68,12 @@ func VersionLabel(checksum string) string {
 // directory, fsynced, and atomically renamed into place, so readers see
 // either the old file or the complete new one — never a torn write. An
 // empty version derives a "sha-<prefix>" label; whitespace in the label
-// is folded to '-' (the footer is line-oriented).
+// is folded to '-' (the footer is line-oriented). A network the codec
+// cannot carry (see encodeError) is refused before anything is written.
 func WriteFile(path string, n *Network, version string) (FileInfo, error) {
+	if err := n.encodeError(); err != nil {
+		return FileInfo{}, fmt.Errorf("semnet: write %s: %w", path, err)
+	}
 	var content bytes.Buffer
 	if err := n.Save(&content); err != nil {
 		return FileInfo{}, fmt.Errorf("semnet: write %s: %w", path, err)
@@ -140,14 +144,67 @@ func ReadFile(path string) (*Network, FileInfo, error) {
 	if got := hex.EncodeToString(sum[:]); got != info.Checksum {
 		return nil, FileInfo{}, malformed(path, "checksum mismatch: content hashes to %s, footer records %s (truncated or corrupted file)", got, info.Checksum)
 	}
-	n, err := Load(bytes.NewReader(content))
+	var n *Network
+	b, err := parse(string(content))
+	if err == nil {
+		n, err = b.Build()
+	}
 	if err != nil {
 		return nil, FileInfo{}, fmt.Errorf("semnet: %s: %w", path, err)
 	}
 	if n.Len() != info.Concepts {
 		return nil, FileInfo{}, malformed(path, "footer records %d concepts, content holds %d", info.Concepts, n.Len())
 	}
+	n.file = &info
 	return n, info, nil
+}
+
+// File returns the identity of the codec file ReadFile read the network
+// from, and false for a network built in memory (embedded, generated, or
+// loaded from a stream).
+func (n *Network) File() (FileInfo, bool) {
+	if n.file == nil {
+		return FileInfo{}, false
+	}
+	return *n.file, true
+}
+
+// encodeError names the first field of the network that Save cannot
+// write so that Load reads it back, or returns nil. Records end at a
+// newline and fields at a tab, lemmas are joined by '|', and the reader
+// drops one carriage return before each newline, so a gloss (the last
+// field of a concept line) and a concept id (the last field of a
+// relation line) must not end in one. Save writes a related edge from
+// the lower id only, so a concept's related edge to itself is not
+// written at all, and it writes no relation it has no name for.
+func (n *Network) encodeError() error {
+	for d := range n.concepts {
+		c := &n.concepts[d]
+		switch {
+		case strings.ContainsAny(string(c.ID), "\t\n"):
+			return fmt.Errorf("concept %q: id contains a tab or a newline", c.ID)
+		case strings.HasSuffix(string(c.ID), "\r"):
+			return fmt.Errorf("concept %q: id ends in a carriage return", c.ID)
+		case strings.ContainsAny(c.Gloss, "\t\n"):
+			return fmt.Errorf("concept %q: gloss contains a tab or a newline", c.ID)
+		case strings.HasSuffix(c.Gloss, "\r"):
+			return fmt.Errorf("concept %q: gloss ends in a carriage return", c.ID)
+		}
+		for _, l := range c.Lemmas {
+			if strings.ContainsAny(l, "|\t\n") {
+				return fmt.Errorf("concept %q: lemma %q contains '|', a tab or a newline", c.ID, l)
+			}
+		}
+		for _, e := range n.edgesD[d] {
+			switch {
+			case e.Rel >= numRelations:
+				return fmt.Errorf("concept %q: edge of unnamed %v", c.ID, e.Rel)
+			case e.Rel == Related && e.To == DenseID(d):
+				return fmt.Errorf("concept %q: related edge to itself", c.ID)
+			}
+		}
+	}
+	return nil
 }
 
 // splitFooter locates and parses the footer, which must be the file's

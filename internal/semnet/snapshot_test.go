@@ -2,9 +2,13 @@ package semnet
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -181,5 +185,101 @@ func TestChecksumMemoizedAndStable(t *testing.T) {
 	}
 	if m := buildFigure2(t); m.Checksum() != c1 {
 		t.Error("identical builds hash differently")
+	}
+}
+
+// sameConcepts reports whether two networks hold the same concepts, in
+// order and bit for bit, with the same edge sets (the codec round-trips
+// networks up to edge order).
+func sameConcepts(a, b *Network) bool {
+	if !slices.Equal(a.order, b.order) {
+		return false
+	}
+	for d := range a.concepts {
+		x, y := &a.concepts[d], &b.concepts[d]
+		if x.ID != y.ID || x.Gloss != y.Gloss || !slices.Equal(x.Lemmas, y.Lemmas) ||
+			math.Float64bits(x.Freq) != math.Float64bits(y.Freq) {
+			return false
+		}
+		ex, ey := slices.Clone(a.edges[d]), slices.Clone(b.edges[d])
+		order := func(p, q Edge) int {
+			return cmp.Or(strings.Compare(string(p.To), string(q.To)), cmp.Compare(p.Rel, q.Rel))
+		}
+		slices.SortFunc(ex, order)
+		slices.SortFunc(ey, order)
+		if !slices.Equal(ex, ey) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWriteFileRejectsUnencodable: each network here is valid Builder
+// output that Save writes and Load fails on or reads back as a different
+// network. WriteFile must refuse it, naming the concept and the field,
+// before any file is created.
+func TestWriteFileRejectsUnencodable(t *testing.T) {
+	base := func() *Builder {
+		return NewBuilder().AddConcept("root.n.01", "the root", 5, "root")
+	}
+	cases := []struct {
+		name, concept, field string
+		b                    *Builder
+	}{
+		{"newline in gloss", "x.n.01", "gloss", base().AddConcept("x.n.01", "first line\nsecond line", 1, "x")},
+		{"tab in gloss", "x.n.01", "gloss", base().AddConcept("x.n.01", "a\tb", 1, "x")},
+		{"newline in id", "x\n.n.01", "id", base().AddConcept("x\n.n.01", "gloss", 1, "x")},
+		{"tab in id", "x\t.n.01", "id", base().AddConcept("x\t.n.01", "gloss", 1, "x")},
+		{"bar in lemma", "x.n.01", "lemma", base().AddConcept("x.n.01", "gloss", 1, "x|y")},
+		{"tab in lemma", "x.n.01", "lemma", base().AddConcept("x.n.01", "gloss", 1, "x\ty")},
+		{"gloss ends in CR", "x.n.01", "gloss", base().AddConcept("x.n.01", "gloss\r", 1, "x")},
+		{"id ends in CR", "x.n.01\r", "id", base().AddConcept("x.n.01\r", "gloss", 1, "x").IsA("root.n.01", "x.n.01\r")},
+		{"related self edge", "x.n.01", "related edge", base().AddConcept("x.n.01", "gloss", 1, "x").AddEdge("x.n.01", Related, "x.n.01")},
+		{"unnamed relation", "x.n.01", "edge", base().AddConcept("x.n.01", "gloss", 1, "x").AddEdge("x.n.01", Relation(9), "root.n.01")},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := c.b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Without the check the codec would not carry the network.
+			var buf bytes.Buffer
+			if err := n.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if back, err := Load(&buf); err == nil && sameConcepts(n, back) {
+				t.Fatal("the codec carries this network; the case tests nothing")
+			}
+			dir := t.TempDir()
+			_, err = WriteFile(filepath.Join(dir, "lexicon.semnet"), n, "v1")
+			if err == nil {
+				t.Fatal("WriteFile accepted a network the codec cannot carry")
+			}
+			if msg := err.Error(); !strings.Contains(msg, strconv.Quote(c.concept)) || !strings.Contains(msg, c.field) {
+				t.Errorf("error %q does not name concept %q and field %q", msg, c.concept, c.field)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+				t.Errorf("WriteFile left %d files behind", len(entries))
+			}
+		})
+	}
+	// Bytes the codec does carry: a carriage return inside a field, '#'
+	// and spaces, an empty gloss, related edges between distinct concepts.
+	n, err := base().AddConcept("x#1", "carriage\rreturn # not a comment", 2, "multi word", "y").
+		AddConcept("z", "", 3, "z").IsA("x#1", "root.n.01").AddEdge("z", Related, "x#1").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lexicon.semnet")
+	if _, err := WriteFile(path, n, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameConcepts(n, back) || back.Checksum() != n.Checksum() {
+		t.Error("a network the codec carries came back different")
 	}
 }

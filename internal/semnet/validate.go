@@ -17,7 +17,7 @@ import "fmt"
 //   - the lemma index is complete and frequency-ordered.
 func (n *Network) Validate() error {
 	for _, id := range n.order {
-		c := n.concepts[id]
+		c := n.Concept(id)
 		if c == nil {
 			return fmt.Errorf("semnet: validate: order references unknown concept %q", id)
 		}
@@ -27,8 +27,8 @@ func (n *Network) Validate() error {
 		if c.Freq <= 0 {
 			return fmt.Errorf("semnet: validate: %s has non-positive frequency %g", id, c.Freq)
 		}
-		for _, e := range n.edges[id] {
-			if n.concepts[e.To] == nil {
+		for _, e := range n.Edges(id) {
+			if n.Concept(e.To) == nil {
 				return fmt.Errorf("semnet: validate: %s has edge to unknown %q", id, e.To)
 			}
 			if !n.hasEdge(e.To, id, e.Rel.Inverse()) {
@@ -60,16 +60,18 @@ func (n *Network) Validate() error {
 		}
 	}
 	// Lemma index completeness and ordering.
-	for lemma, ids := range n.byLemma {
+	for l, lemma := range n.labels {
+		ids := n.sensesS[l]
 		for i, id := range ids {
-			if n.concepts[id] == nil {
+			c := n.Concept(id)
+			if c == nil {
 				return fmt.Errorf("semnet: validate: lemma %q indexes unknown %q", lemma, id)
 			}
-			if i > 0 && n.concepts[ids[i-1]].Freq < n.concepts[id].Freq {
+			if i > 0 && n.Concept(ids[i-1]).Freq < c.Freq {
 				return fmt.Errorf("semnet: validate: senses of %q not frequency-ordered", lemma)
 			}
 			found := false
-			for _, l := range n.concepts[id].Lemmas {
+			for _, l := range c.Lemmas {
 				if l == lemma {
 					found = true
 				}
@@ -83,7 +85,7 @@ func (n *Network) Validate() error {
 }
 
 func (n *Network) hasEdge(from, to ConceptID, rel Relation) bool {
-	for _, e := range n.edges[from] {
+	for _, e := range n.Edges(from) {
 		if e.To == to && e.Rel == rel {
 			return true
 		}
