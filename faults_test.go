@@ -7,6 +7,7 @@ package xsdf_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,56 @@ func TestUnknownOptionRejected(t *testing.T) {
 	for _, v := range []string{"", "cosine", "Jaccard", "PEARSON"} {
 		if _, err := xsdf.New(xsdf.Options{VectorSimilarity: v}); err != nil {
 			t.Errorf("VectorSimilarity %q rejected: %v", v, err)
+		}
+	}
+}
+
+// TestNaNSelectionOptionsRejected: a NaN ambiguity weight, threshold or
+// AutoThresholdK would make every document select no target while
+// reporting success, so New rejects each with ErrUnknownOption.
+func TestNaNSelectionOptionsRejected(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		set  func(*xsdf.Options)
+	}{
+		{"polysemy-weight", func(o *xsdf.Options) { o.AmbiguityWeights.Polysemy = nan }},
+		{"depth-weight", func(o *xsdf.Options) { o.AmbiguityWeights.Depth = nan }},
+		{"density-weight", func(o *xsdf.Options) { o.AmbiguityWeights.Density = nan }},
+		{"threshold", func(o *xsdf.Options) { o.Threshold = nan }},
+		{"polysemy-weight-auto-threshold", func(o *xsdf.Options) {
+			o.AmbiguityWeights.Polysemy = nan
+			o.AutoThreshold = true
+		}},
+		{"auto-threshold-k", func(o *xsdf.Options) {
+			o.AutoThreshold = true
+			o.AutoThresholdK = nan
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var o xsdf.Options
+			c.set(&o)
+			if _, err := xsdf.New(o); !errors.Is(err, xsdf.ErrUnknownOption) {
+				t.Errorf("want ErrUnknownOption, got %v", err)
+			}
+		})
+	}
+	// The finite versions of the same options still select targets.
+	o := xsdf.Options{Threshold: 0.1, AutoThresholdK: 0.5}
+	o.AmbiguityWeights.Polysemy = 1
+	for _, auto := range []bool{false, true} {
+		o.AutoThreshold = auto
+		fw, err := xsdf.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fw.DisambiguateString(figure1a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Targets == 0 || res.Assigned == 0 {
+			t.Errorf("auto threshold %v: %d targets, %d assigned", auto, res.Targets, res.Assigned)
 		}
 	}
 }

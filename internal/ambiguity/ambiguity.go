@@ -7,6 +7,7 @@ package ambiguity
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/semnet"
@@ -24,6 +25,12 @@ type Weights struct {
 // EqualWeights is the sensible default of §3.3 (all factors considered
 // equally: w_Polysemy = w_Depth = w_Density = 1).
 func EqualWeights() Weights { return Weights{Polysemy: 1, Depth: 1, Density: 1} }
+
+// HasNaN reports whether any weight is NaN, which Clamp lets through: a
+// NaN weight makes every degree NaN, so no threshold selects any node.
+func (w Weights) HasNaN() bool {
+	return math.IsNaN(w.Polysemy) || math.IsNaN(w.Depth) || math.IsNaN(w.Density)
+}
 
 // Clamp forces every weight into [0, 1].
 func (w Weights) Clamp() Weights {
@@ -163,7 +170,14 @@ func TreeStructure(t *xmltree.Tree, w StructWeights) float64 {
 // Amb_Deg(x) >= threshold, in preorder. Setting threshold = 0 selects every
 // node (the "disambiguate all" mode existing approaches use); setting
 // w.Polysemy = 0 makes every degree 0, disabling selection-by-ambiguity.
+//
+// A threshold <= 0 selects every node without computing a degree: with no
+// NaN weight every degree is finite and >= 0. A NaN weight makes every
+// degree NaN, which no threshold admits, so that case is still computed.
 func Select(t *xmltree.Tree, net *semnet.Network, w Weights, threshold float64) []*xmltree.Node {
+	if threshold <= 0 && !w.HasNaN() {
+		return slices.Clone(t.Nodes())
+	}
 	var out []*xmltree.Node
 	for _, x := range t.Nodes() {
 		if Degree(x, t, net, w) >= threshold {

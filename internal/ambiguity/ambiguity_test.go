@@ -206,6 +206,36 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// TestSelectMatchesDegrees: Select returns exactly the nodes whose degree
+// meets the threshold, in preorder — also for the thresholds <= 0 it
+// answers without computing degrees, and for NaN weights, whose NaN
+// degrees meet no threshold.
+func TestSelectMatchesDegrees(t *testing.T) {
+	tr := testTree(t)
+	net := testNet(t)
+	nan := math.NaN()
+	for _, w := range []Weights{EqualWeights(), {}, {Polysemy: 1}, {Polysemy: 2, Depth: -1, Density: math.Inf(1)},
+		{Polysemy: nan, Depth: 1, Density: 1}, {Polysemy: 1, Depth: nan, Density: 1}, {Polysemy: 1, Depth: 1, Density: nan}} {
+		for _, th := range []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.2, 0.4, 1, nan} {
+			var want []*xmltree.Node
+			for _, x := range tr.Nodes() {
+				if Degree(x, tr, net, w) >= th {
+					want = append(want, x)
+				}
+			}
+			got := Select(tr, net, w, th)
+			if len(got) != len(want) {
+				t.Fatalf("weights %+v threshold %v: selected %d nodes, degrees admit %d", w, th, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("weights %+v threshold %v: target %d is %q, want %q", w, th, i, got[i].Label, want[i].Label)
+				}
+			}
+		}
+	}
+}
+
 func TestAutoThreshold(t *testing.T) {
 	tr := testTree(t)
 	net := testNet(t)

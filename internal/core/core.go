@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,6 +170,15 @@ func New(net *semnet.Network, opts Options) (*Framework, error) {
 	}
 	if err := opts.Disambiguation.SimWeights.Normalize().Validate(); err != nil {
 		return nil, err
+	}
+	// A NaN selection option makes every degree or the threshold NaN, and
+	// every document would select no target while reporting success.
+	if opts.Ambiguity.HasNaN() {
+		return nil, fmt.Errorf("%w: NaN ambiguity weight %+v", xsdferrors.ErrUnknownOption, opts.Ambiguity)
+	}
+	if math.IsNaN(opts.Threshold) || math.IsNaN(opts.AutoThresholdK) {
+		return nil, fmt.Errorf("%w: NaN Threshold %v or AutoThresholdK %v",
+			xsdferrors.ErrUnknownOption, opts.Threshold, opts.AutoThresholdK)
 	}
 	f := &Framework{
 		opts:       opts,

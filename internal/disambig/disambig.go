@@ -196,19 +196,14 @@ type contextNode struct {
 	lemmaEnd   int32
 }
 
-// preparedContext is the fully-resolved sphere context of one target node:
-// the Definition 6–7 context vector, one label id per member token (-1
-// when the token names no concept), and the sphere size. On the document
-// path the lemma ids are the table's, tab holds the word matrix, and dense
-// holds the context vector scattered by dimension (all zero between
-// targets); the per-node build owns its lemma ids and leaves tab nil.
-// tally counts the memo reads of the run the context is scored in.
+// preparedContext is the per-node build's sphere context of one target
+// node: the Definition 6–7 context vector, one label id per member token
+// (-1 when the token names no concept), and the sphere size. tally counts
+// the memo reads of the run the context is scored in.
 type preparedContext struct {
 	vec    normedVector
 	ctx    []contextNode
 	lemmas []int32
-	tab    *docTable
-	dense  []float64
 	size   int
 	tally  *cacheTally
 }
@@ -225,21 +220,28 @@ func normed(v sphere.Vector) normedVector {
 	return normedVector{Vector: v, norm2: sphere.SquaredNorm(v)}
 }
 
-// ctxScratch bundles the reusable buffers of context builds on both
-// paths: the pointer BFS and per-member dimensions of the per-node build,
-// the integer BFS of the document path, the shared vector fold, and the
-// preparedContext whose slices are reused. Each scoring goroutine draws
-// one from ctxScratchPool, so the warm steady state allocates nothing for
-// context construction, and tallies its memo reads in it until
-// releaseScratch.
+// ctxScratch bundles the reusable buffers of both scoring paths: the
+// pointer BFS, vector fold, per-member dimensions and preparedContext of
+// the per-node build; the integer BFS, local-dimension accumulator,
+// docContext and per-candidate sums of the document path. Each scoring
+// goroutine draws one from ctxScratchPool, so the warm steady state
+// allocates nothing for context construction or scoring, and tallies its
+// memo reads in it until releaseScratch.
 type ctxScratch struct {
 	sph        sphere.Scratch
-	pos        sphere.PosScratch
 	vec        sphere.VecScratch
 	memberDims []int32
 	lemmas     []int32
 	pc         preparedContext
-	tally      cacheTally
+	scores     []float64 // per-candidate scores, in candidate order
+
+	pos       sphere.PosScratch
+	acc       []float64 // context weight by local dimension; all zero between targets
+	dc        docContext
+	sims      []float64 // per-sense word maxima against one context member
+	ctxScores []float64 // the context leg's scores under the combined method
+
+	tally cacheTally
 }
 
 var ctxScratchPool = sync.Pool{New: func() any { return new(ctxScratch) }}
@@ -268,7 +270,7 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 	pc.vec = normed(sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md))
 	pc.size = len(members)
 	pc.ctx = pc.ctx[:0]
-	pc.tab, pc.tally = nil, &s.tally
+	pc.tally = &s.tally
 	s.lemmas = s.lemmas[:0]
 	for i, m := range members {
 		if m.Node == x {
@@ -311,18 +313,10 @@ func (d *Disambiguator) appendLemmas(dst []int32, x *xmltree.Node) []int32 {
 
 // reading is one target token's candidate senses (the network's frozen
 // frequency-ordered list, read-only) with the document-matrix row of its
-// first sense, -1 off the matrix.
+// first sense, -1 off the matrix; the k-th sense has row row+k.
 type reading struct {
 	senses []semnet.DenseID
 	row    int32
-}
-
-// rowOf returns the matrix row of the token's k-th sense.
-func (r reading) rowOf(k int) int32 {
-	if r.row < 0 {
-		return -1
-	}
-	return r.row + int32(k)
 }
 
 // readings resolves the per-node path's candidate readings: the first
@@ -376,20 +370,18 @@ func (d *Disambiguator) conceptID(dc semnet.DenseID) semnet.ConceptID {
 	return id
 }
 
-// candidate is one scored reading of a target: a sense, or a sense pair
-// for a compound label (Eq. 10/12), each with its document-matrix row (-1
-// off the matrix).
+// candidate is one reading of a target scored on the per-node path: a
+// sense, or a sense pair for a compound label (Eq. 10/12).
 type candidate struct {
-	ids  [2]semnet.DenseID
-	rows [2]int32
-	n    int
+	ids [2]semnet.DenseID
+	n   int
 }
 
 // publicCandidate resolves public-API ConceptIDs into a candidate; ids
 // outside the network become the -1 sentinel (they score 0 against every
 // known concept, exactly as the string-keyed measures did).
 func (d *Disambiguator) publicCandidate(ids ...semnet.ConceptID) candidate {
-	c := candidate{rows: [2]int32{-1, -1}, n: len(ids)}
+	c := candidate{n: len(ids)}
 	for i, id := range ids {
 		dc, ok := d.net.Dense(id)
 		if !ok {
@@ -441,11 +433,11 @@ func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint
 }
 
 // simToContextNode returns max_j Sim(s, s_j^i) over the senses of context
-// node cn, for the candidate sense s at matrix row row. A compound context
-// label is processed like a compound target (§3.5.1 note): the max over
+// node cn, for the candidate sense s. A compound context label is
+// processed like a compound target (§3.5.1 note): the max over
 // token-sense pairs of the average similarity, which factorizes into the
 // average of per-token maxima — one word lookup per token.
-func (d *Disambiguator) simToContextNode(s semnet.DenseID, row int32, pc *preparedContext, cn contextNode) float64 {
+func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, cn contextNode) float64 {
 	var sum float64
 	var counted int
 	for i := cn.lemmaStart; i < cn.lemmaEnd; i++ {
@@ -453,7 +445,7 @@ func (d *Disambiguator) simToContextNode(s semnet.DenseID, row int32, pc *prepar
 		if l < 0 {
 			continue
 		}
-		sum += d.wordSim(s, l, pc.cell(row, i), pc.tally)
+		sum += d.wordSim(s, l, nil, pc.tally)
 		counted++
 	}
 	if counted == 0 {
@@ -507,7 +499,7 @@ func (d *Disambiguator) conceptScoreCtx(c *candidate, pc *preparedContext) float
 	for _, cn := range pc.ctx {
 		var s float64
 		for i := 0; i < c.n; i++ {
-			s += d.simToContextNode(c.ids[i], c.rows[i], pc, cn)
+			s += d.simToContextNode(c.ids[i], pc, cn)
 		}
 		s /= float64(c.n)
 		total += s * cn.weight
@@ -550,9 +542,10 @@ func (d *Disambiguator) pairVectorD(p, q semnet.DenseID, tl *cacheTally) normedV
 	return v
 }
 
-// scoreAs evaluates one candidate under an explicit method — the seam the
-// degradation ladder uses to force concept-only scoring (Definition 8)
-// without touching the configured options.
+// scoreAs evaluates one candidate under an explicit method on the
+// per-node path — the seam the degradation ladder uses to force
+// concept-only scoring (Definition 8) without touching the configured
+// options.
 func (d *Disambiguator) scoreAs(method Method, c *candidate, pc *preparedContext) float64 {
 	switch method {
 	case ConceptBased:
@@ -560,36 +553,38 @@ func (d *Disambiguator) scoreAs(method Method, c *candidate, pc *preparedContext
 	case ContextBased:
 		return d.contextScoreCtx(c, pc)
 	default:
-		wc, wx := d.opts.ConceptWeight, d.opts.ContextWeight
-		if s := wc + wx; s > 0 {
-			wc, wx = wc/s, wx/s
-		} else {
-			wc, wx = 0.5, 0.5
-		}
+		wc, wx := d.mixWeights()
 		return wc*d.conceptScoreCtx(c, pc) + wx*d.contextScoreCtx(c, pc)
 	}
 }
 
-// contextScoreCtx is the context-based leg of scoreAs. With the default
-// cosine both norms are precomputed, so it costs one dot product: gathered
-// from the scattered context vector on the document path, merged on the
-// per-node path. The bypass oracle and the other measures run the generic
-// function.
+// mixWeights returns Eq. 13's w_Concept and w_Context, normalized to sum
+// to 1 (equal when both are 0).
+func (d *Disambiguator) mixWeights() (wc, wx float64) {
+	wc, wx = d.opts.ConceptWeight, d.opts.ContextWeight
+	if s := wc + wx; s > 0 {
+		return wc / s, wx / s
+	}
+	return 0.5, 0.5
+}
+
+// contextScoreCtx is the context-based leg of scoreAs.
 func (d *Disambiguator) contextScoreCtx(c *candidate, pc *preparedContext) float64 {
-	var cv normedVector
 	if c.n == 2 {
-		cv = d.pairVectorD(c.ids[0], c.ids[1], pc.tally)
-	} else {
-		cv = d.conceptVectorD(c.ids[0], pc.tally)
+		return d.vectorScore(pc.vec, d.pairVectorD(c.ids[0], c.ids[1], pc.tally))
 	}
-	switch {
-	case d.opts.VectorSim != nil || d.bypassCache:
-		return d.opts.vectorSim()(pc.vec.Vector, cv.Vector)
-	case pc.tab != nil:
-		return sphere.CosineGather(pc.vec.Vector, pc.dense, cv.Vector, pc.vec.norm2, cv.norm2)
-	default:
-		return sphere.CosineWithNorms(pc.vec.Vector, cv.Vector, pc.vec.norm2, cv.norm2)
+	return d.vectorScore(pc.vec, d.conceptVectorD(c.ids[0], pc.tally))
+}
+
+// vectorScore compares a target's context vector with a concept vector.
+// With the default cosine both norms are precomputed, so it costs one
+// merge for the dot product; the bypass oracle and the other measures run
+// the generic function.
+func (d *Disambiguator) vectorScore(ctx, cv normedVector) float64 {
+	if d.opts.VectorSim != nil || d.bypassCache {
+		return d.opts.vectorSim()(ctx.Vector, cv.Vector)
 	}
+	return sphere.CosineWithNorms(ctx.Vector, cv.Vector, ctx.norm2, cv.norm2)
 }
 
 // Node disambiguates a single target node: it enumerates candidate senses
@@ -615,54 +610,45 @@ func (d *Disambiguator) nodeWith(x *xmltree.Node, method Method) (Sense, bool) {
 	}
 	s := ctxScratchPool.Get().(*ctxScratch)
 	defer d.releaseScratch(s)
-	return d.best(method, a, b, d.buildContextInto(x, s)), true
+	return d.best(method, a, b, d.buildContextInto(x, s), s), true
 }
 
-// nodeInDoc is nodeWith for the target at table position p: its readings
-// and context come from the table, and its concept scores read the word
-// matrix. The scattered context vector is cleared when the target is
-// done, on every path out, so the scratch's dense array is all zero
-// between targets.
-func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScratch) (Sense, bool) {
-	a, b, ok := pick(t.readings(d.net, p))
-	if !ok {
-		return Sense{}, false
-	}
-	if len(b.senses) == 0 && len(a.senses) == 1 {
-		return d.monosemous(a), true
-	}
-	pc := t.contextAt(p, d.opts.Radius, s)
-	defer sphere.Unscatter(pc.dense, pc.vec.Vector)
-	return d.best(method, a, b, pc), true
-}
-
-// best scores every candidate of the picked readings — a's senses, or the
-// pairs of a's and b's senses — and returns the first highest-scoring one.
-func (d *Disambiguator) best(method Method, a, b reading, pc *preparedContext) Sense {
-	c := candidate{n: 1}
-	bestScore := -1.0
+// best scores every candidate of the picked readings on the per-node
+// path, one scoreAs call each, and returns the winner.
+func (d *Disambiguator) best(method Method, a, b reading, pc *preparedContext, s *ctxScratch) Sense {
+	s.scores = s.scores[:0]
 	if len(b.senses) == 0 {
-		win := a.senses[0]
-		for k, sp := range a.senses {
-			c.ids[0], c.rows[0] = sp, a.rowOf(k)
-			if sc := d.scoreAs(method, &c, pc); sc > bestScore {
-				bestScore, win = sc, sp
-			}
+		c := candidate{n: 1}
+		for _, sp := range a.senses {
+			c.ids[0] = sp
+			s.scores = append(s.scores, d.scoreAs(method, &c, pc))
 		}
-		return Sense{Concepts: []semnet.ConceptID{d.conceptID(win)}, Score: bestScore}
-	}
-	c.n = 2
-	var winP, winQ semnet.DenseID
-	for kp, sp := range a.senses {
-		for kq, sq := range b.senses {
-			c.ids = [2]semnet.DenseID{sp, sq}
-			c.rows = [2]int32{a.rowOf(kp), b.rowOf(kq)}
-			if sc := d.scoreAs(method, &c, pc); sc > bestScore {
-				bestScore, winP, winQ = sc, sp, sq
+	} else {
+		c := candidate{n: 2}
+		for _, sp := range a.senses {
+			for _, sq := range b.senses {
+				c.ids = [2]semnet.DenseID{sp, sq}
+				s.scores = append(s.scores, d.scoreAs(method, &c, pc))
 			}
 		}
 	}
-	return Sense{Concepts: []semnet.ConceptID{d.conceptID(winP), d.conceptID(winQ)}, Score: bestScore}
+	return d.winner(a, b, s.scores)
+}
+
+// winner returns the first highest-scoring candidate of the picked
+// readings, given their scores in candidate order: a's senses, or the
+// pairs of a's and b's senses with a's sense varying slowest.
+func (d *Disambiguator) winner(a, b reading, scores []float64) Sense {
+	bestScore, win := -1.0, 0
+	for k, sc := range scores {
+		if sc > bestScore {
+			bestScore, win = sc, k
+		}
+	}
+	if nb := len(b.senses); nb > 0 {
+		return Sense{Concepts: []semnet.ConceptID{d.conceptID(a.senses[win/nb]), d.conceptID(b.senses[win%nb])}, Score: bestScore}
+	}
+	return Sense{Concepts: []semnet.ConceptID{d.conceptID(a.senses[win])}, Score: bestScore}
 }
 
 // Candidates scores every candidate sense (or sense pair) of a target node
@@ -682,7 +668,7 @@ func (d *Disambiguator) Candidates(x *xmltree.Node) []Sense {
 	defer d.releaseScratch(s)
 	pc := d.buildContextInto(x, s)
 	var out []Sense
-	c := candidate{n: 1, rows: [2]int32{-1, -1}}
+	c := candidate{n: 1}
 	if len(b.senses) == 0 {
 		for _, sp := range a.senses {
 			c.ids[0] = sp

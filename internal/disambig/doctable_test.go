@@ -2,6 +2,7 @@ package disambig
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -87,47 +88,62 @@ func TestGoldenDocumentPathVsBypass(t *testing.T) {
 							Workers:       workers,
 						}
 						cached := New(net, opts)
-						bypass := New(net, opts)
-						bypass.bypassCache = true
 						tr := doc.build(t, followLinks)
 						targets := treeNodes(tr.Root)
 						checkTableKind(t, cached, targets, doc.table)
-
-						type ref struct {
-							sense Sense
-							ok    bool
-						}
-						want := make([]ref, len(targets))
-						for i, n := range targets {
-							want[i].sense, want[i].ok = bypass.Node(n)
-						}
-						rep, err := cached.ApplyReport(context.Background(), targets)
+						assigned, err := matchesBypass(cached, targets)
 						if err != nil {
 							t.Fatal(err)
 						}
-						assigned := 0
-						for i, n := range targets {
-							w := want[i]
-							if !w.ok {
-								if n.Sense != "" {
-									t.Errorf("node %d %q: document path assigned %s, bypass none", i, n.Label, n.Sense)
-								}
-								continue
-							}
-							assigned++
-							if n.Sense != w.sense.ID() || math.Float64bits(n.SenseScore) != math.Float64bits(w.sense.Score) {
-								t.Errorf("node %d %q: document path %s %.17g, bypass %s %.17g",
-									i, n.Label, n.Sense, n.SenseScore, w.sense.ID(), w.sense.Score)
-							}
-						}
-						if assigned == 0 || rep.Assigned != assigned {
-							t.Fatalf("assigned %d, report %d", assigned, rep.Assigned)
+						if assigned == 0 {
+							t.Fatal("no node was assigned")
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// matchesBypass scores targets with d's ApplyReport and checks every
+// node's sense and score bits against the bypass oracle's per-node Node
+// under the same options, and the report's assigned count. It returns the
+// number of assigned targets.
+func matchesBypass(d *Disambiguator, targets []*xmltree.Node) (int, error) {
+	bypass := NewShared(d.cache, d.opts)
+	bypass.bypassCache = true
+	type ref struct {
+		sense Sense
+		ok    bool
+	}
+	want := make([]ref, len(targets))
+	for i, n := range targets {
+		want[i].sense, want[i].ok = bypass.Node(n)
+	}
+	rep, err := d.ApplyReport(context.Background(), targets)
+	if err != nil {
+		return 0, err
+	}
+	var errs []error
+	assigned := 0
+	for i, n := range targets {
+		w := want[i]
+		if !w.ok {
+			if n.Sense != "" {
+				errs = append(errs, fmt.Errorf("node %d %q: document path assigned %s, bypass none", i, n.Label, n.Sense))
+			}
+			continue
+		}
+		assigned++
+		if n.Sense != w.sense.ID() || math.Float64bits(n.SenseScore) != math.Float64bits(w.sense.Score) {
+			errs = append(errs, fmt.Errorf("node %d %q: document path %s %.17g, bypass %s %.17g",
+				i, n.Label, n.Sense, n.SenseScore, w.sense.ID(), w.sense.Score))
+		}
+	}
+	if rep.Assigned != assigned {
+		errs = append(errs, fmt.Errorf("assigned %d, report %d", assigned, rep.Assigned))
+	}
+	return assigned, errors.Join(errs...)
 }
 
 // treeNodes lists the nodes under root in preorder by walking Children,
@@ -212,7 +228,9 @@ func addSyntheticLinks(tr *xmltree.Tree) {
 // (position = Index, distance), size, per-member weights and lemma ids by
 // value, and vector weights and squared norm by bits, with dimensions
 // compared through their labels (unknown labels are ranked per sphere in
-// one build and per document in the other).
+// one build and per document in the other). The context's local
+// dimensions must name its label dimensions, and zeroing the accumulator
+// at them must leave it all zero.
 func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 	tab := d.docTableFor(nodes)
 	if tab == nil {
@@ -258,7 +276,18 @@ func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 		unknown = slices.Compact(unknown)
 
 		g := tab.contextAt(p, radius, &got)
-		sphere.Unscatter(g.dense, g.vec.Vector)
+		if len(g.local.Dims) != len(g.vec.Dims) {
+			return fmt.Errorf("node %d: %d local dimensions, %d label dimensions", x.Index, len(g.local.Dims), len(g.vec.Dims))
+		}
+		for i, l := range g.local.Dims {
+			if tab.ldims[l] != g.vec.Dims[i] {
+				return fmt.Errorf("node %d: local dimension %d names %d, want %d", x.Index, l, tab.ldims[l], g.vec.Dims[i])
+			}
+		}
+		clearAt(got.acc, g.local.Dims)
+		if i := slices.IndexFunc(got.acc, func(w float64) bool { return w != 0 }); i >= 0 {
+			return fmt.Errorf("node %d: accumulator holds %v at %d after the target", x.Index, got.acc[i], i)
+		}
 		w := d.buildContextInto(x, &want)
 		if g.size != w.size || len(g.ctx) != len(w.ctx) {
 			return fmt.Errorf("node %d: size %d/%d context nodes, reference %d/%d",
@@ -269,7 +298,7 @@ func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 			if gc.weight != wc.weight {
 				return fmt.Errorf("node %d context node %d: weight %g, reference %g", x.Index, i, gc.weight, wc.weight)
 			}
-			if gl, wl := g.lemmas[gc.lemmaStart:gc.lemmaEnd], w.lemmas[wc.lemmaStart:wc.lemmaEnd]; !slices.Equal(gl, wl) {
+			if gl, wl := tab.lemmas[gc.lemmaStart:gc.lemmaEnd], w.lemmas[wc.lemmaStart:wc.lemmaEnd]; !slices.Equal(gl, wl) {
 				return fmt.Errorf("node %d context node %d: lemmas %v, reference %v", x.Index, i, gl, wl)
 			}
 		}
@@ -369,14 +398,49 @@ func FuzzDocumentContext(f *testing.F) {
 	})
 }
 
-// TestScatterArrayClearedAfterDocument: the document path scatters each
-// target's context vector into its scratch's dense array and clears it
-// once the target is scored, so after a document every scratch's array is
-// all zero — scored serially on one scratch, and by three node workers on
-// one scratch each, as ApplyReport's workers are. Scratches ApplyReport
-// itself returned to the pool, serially and with node workers, must be
-// all zero too.
-func TestScatterArrayClearedAfterDocument(t *testing.T) {
+// FuzzDocumentScores is the differential fuzz test of the document
+// path's block scorer: every node of a tree decoded from the fuzz input
+// (compound labels included) is scored by ApplyReport on the document
+// table and by the bypass oracle's per-node Node, and the senses and
+// score bits must agree. The first two bytes draw the method and the
+// vector measure; decodeFuzzTree draws the radius and links.
+func FuzzDocumentScores(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 0, 6, 0, 1, 0, 2, 1, 8, 2, 4, 3, 7})
+	f.Add([]byte{0, 1, 2, 1, 12, 0, 3, 0, 4, 1, 5, 2, 8, 3, 9, 0, 10, 5, 6, 1, 2, 3, 4, 0, 7, 1, 1, 3, 11, 6, 0, 2, 9})
+	f.Add([]byte{1, 2, 0, 1, 3, 7, 0, 7, 1, 7, 0, 2})
+	f.Add([]byte{2, 1, 1, 0, 9, 8, 0, 9, 0, 1, 1, 3, 2, 0, 1, 5, 3})
+	net := wordnet.Default()
+	cache := NewCache(net, simmeasure.EqualWeights())
+	measures := []sphere.VectorSim{nil, sphere.Jaccard, sphere.Pearson}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		method, measure := Method(data[0]%3), data[1]%3
+		tr, radius, links := decodeFuzzTree(data[2:])
+		d := NewShared(cache, Options{
+			Radius:        radius,
+			Method:        method,
+			SimWeights:    simmeasure.EqualWeights(),
+			ConceptWeight: 0.5,
+			ContextWeight: 0.5,
+			VectorSim:     measures[measure],
+			FollowLinks:   links,
+		})
+		if _, err := matchesBypass(d, tr.Nodes()); err != nil {
+			t.Fatalf("%s, measure %d, radius %d, links %v: %v", method, measure, radius, links, err)
+		}
+	})
+}
+
+// TestLocalAccumulatorClearedAfterDocument: the document path folds each
+// target's context vector into its scratch's local-dimension accumulator
+// and zeroes it once the target is scored, so the accumulator is all zero
+// between targets and after the document — scored serially on one
+// scratch, and by three node workers on one scratch each, as
+// ApplyReport's workers are. Scratches ApplyReport itself returned to the
+// pool, serially and with node workers, must be all zero too.
+func TestLocalAccumulatorClearedAfterDocument(t *testing.T) {
 	net := wordnet.Default()
 	opts := Options{Radius: 2, Method: Combined, SimWeights: simmeasure.EqualWeights(),
 		ConceptWeight: 0.5, ContextWeight: 0.5}
@@ -387,14 +451,12 @@ func TestScatterArrayClearedAfterDocument(t *testing.T) {
 		t.Fatal("no document table")
 	}
 	defer tab.release()
-	if tab.ndims <= net.NumLabels() {
-		t.Fatalf("document has no unknown label dimensions (%d dimensions)", tab.ndims)
+	if n := len(tab.ldims); n == 0 || int(tab.ldims[n-1]) < net.NumLabels() {
+		t.Fatalf("document has no unknown label dimensions (%d local dimensions)", n)
 	}
 	cleared := func(s *ctxScratch) error {
-		for dim, w := range s.pc.dense {
-			if w != 0 {
-				return fmt.Errorf("dimension %d holds %v", dim, w)
-			}
+		if i := slices.IndexFunc(s.acc, func(w float64) bool { return w != 0 }); i >= 0 {
+			return fmt.Errorf("local dimension %d holds %v", i, s.acc[i])
 		}
 		return nil
 	}
@@ -403,30 +465,32 @@ func TestScatterArrayClearedAfterDocument(t *testing.T) {
 	for _, x := range targets {
 		p, _ := tab.position(x)
 		d.nodeInDoc(tab, p, d.opts.Method, serial)
+		if err := cleared(serial); err != nil {
+			t.Fatalf("serial scratch after target %d: %v", p, err)
+		}
 	}
-	if len(serial.pc.dense) < tab.ndims {
-		t.Fatalf("dense array has %d dimensions, the document %d", len(serial.pc.dense), tab.ndims)
-	}
-	if err := cleared(serial); err != nil {
-		t.Errorf("serial scratch after the document: %v", err)
+	if len(serial.acc) < len(tab.ldims) {
+		t.Fatalf("accumulator has %d dimensions, the document %d", len(serial.acc), len(tab.ldims))
 	}
 
 	workers := []*ctxScratch{new(ctxScratch), new(ctxScratch), new(ctxScratch)}
+	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
 	for w, s := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w; i < len(targets); i += len(workers) {
+			for i := w; i < len(targets) && errs[w] == nil; i += len(workers) {
 				p, _ := tab.position(targets[i])
 				d.nodeInDoc(tab, p, d.opts.Method, s)
+				errs[w] = cleared(s)
 			}
 		}()
 	}
 	wg.Wait()
-	for w, s := range workers {
-		if err := cleared(s); err != nil {
-			t.Errorf("node worker %d's scratch after the document: %v", w, err)
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("node worker %d's scratch between targets: %v", w, err)
 		}
 	}
 
@@ -447,6 +511,78 @@ func TestScatterArrayClearedAfterDocument(t *testing.T) {
 		for _, s := range drawn {
 			ctxScratchPool.Put(s)
 		}
+	}
+}
+
+// TestSenseRowsHoldConceptVectors: after a document is scored under the
+// combined method — serially, and by three node workers sharing the table
+// — every filled sense row holds its sense's concept vector at the local
+// dimensions the vector shares with the document and zero elsewhere, with
+// the vector's squared norm, and at least one row was filled. Rows exist
+// only with a word matrix, and not for concept-based scoring or another
+// vector measure.
+func TestSenseRowsHoldConceptVectors(t *testing.T) {
+	net := wordnet.Default()
+	opts := Options{Radius: 2, Method: Combined, SimWeights: simmeasure.EqualWeights(),
+		ConceptWeight: 0.5, ContextWeight: 0.5}
+	for _, workers := range []int{1, 3} {
+		d := New(net, opts)
+		targets := goldenTree(t, false).Nodes()
+		tab := d.docTableFor(targets)
+		if tab == nil || len(tab.srows) == 0 {
+			t.Fatal("no document table with sense rows")
+		}
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := new(ctxScratch)
+				for i := w; i < len(targets); i += workers {
+					p, _ := tab.position(targets[i])
+					d.nodeInDoc(tab, p, d.opts.Method, s)
+				}
+			}()
+		}
+		wg.Wait()
+		filled := 0
+		for c, row := range tab.rows {
+			if row < 0 {
+				continue
+			}
+			for k, sense := range net.LemmaSensesDense(columnLemma(tab, c)) {
+				r := int(row) + k
+				if !tab.sready[r].Load() {
+					continue
+				}
+				filled++
+				cv, _ := d.vecs.concept(sense)
+				want := make([]float64, len(tab.ldims))
+				for j, dim := range cv.Dims {
+					if l, ok := slices.BinarySearch(tab.ldims, dim); ok {
+						want[l] = cv.Weights[j]
+					}
+				}
+				got := tab.srows[r*len(tab.ldims) : (r+1)*len(tab.ldims)]
+				if !slices.Equal(got, want) || math.Float64bits(tab.snorm[r]) != math.Float64bits(cv.norm2) {
+					t.Errorf("workers %d: sense row %d (%d) holds %v norm %v, want %v norm %v",
+						workers, r, sense, got, tab.snorm[r], want, cv.norm2)
+				}
+			}
+		}
+		if filled == 0 {
+			t.Errorf("workers %d: no sense row was filled", workers)
+		}
+		tab.release()
+	}
+	for _, o := range []Options{{Radius: 2, Method: ConceptBased}, {Radius: 2, Method: Combined, VectorSim: sphere.Jaccard}} {
+		d := New(net, o)
+		tab := d.docTableFor(goldenTree(t, false).Nodes())
+		if len(tab.cells) == 0 || len(tab.srows) != 0 || len(tab.sready) != 0 {
+			t.Errorf("%s: %d cells, %d sense-row cells, %d sense rows; want cells and no rows",
+				o.Method, len(tab.cells), len(tab.srows), len(tab.sready))
+		}
+		tab.release()
 	}
 }
 

@@ -76,18 +76,3 @@ func SphereAt(g Adjacency, p int32, d int, s *PosScratch) []PosMember {
 	}
 	return s.members
 }
-
-// VectorFromDimsInto is VectorFromMembersInto for members whose label
-// dimensions are already resolved: dims[pos] is the dimension of the label
-// at pos, -1 for the empty label. The pairs enter the fold in member
-// order, as in VectorFromMembersInto, so equal dimension order gives equal
-// weights bit for bit. The result aliases the scratch.
-func VectorFromDimsInto(members []PosMember, dims []int32, d int, s *VecScratch) Vector {
-	s.pairs = s.pairs[:0]
-	for _, m := range members {
-		if dim := dims[m.Pos]; dim >= 0 {
-			s.pairs = append(s.pairs, dimWeight{dim: dim, w: Struct(int(m.Dist), d)})
-		}
-	}
-	return s.fold(float64(len(members) + 1))
-}

@@ -104,35 +104,21 @@ func normalizedDot(dot, na, nb float64) float64 {
 	return v
 }
 
-// Scatter writes v's weights into dense at v's dimensions, which must be
-// in range. dense is expected to be all zero before, so that it holds v
-// and zeros elsewhere; Unscatter restores that state.
-func Scatter(dense []float64, v Vector) {
-	for i, dim := range v.Dims {
-		dense[dim] = v.Weights[i]
-	}
-}
-
-// Unscatter zeroes dense at v's dimensions, undoing Scatter(dense, v).
-func Unscatter(dense []float64, v Vector) {
-	for _, dim := range v.Dims {
-		dense[dim] = 0
-	}
-}
-
-// CosineGather is CosineWithNorms with a given as Scatter(dense, a) as
-// well: the dot product gathers dense at b's dimensions in ascending
-// order, so no merge over a's dimensions is run. For finite weights it
-// returns Cosine's exact bits: a product on a dimension a lacks is ±0,
+// CosineDense is CosineWithNorms with b given as a dense row: b[dim] is
+// b's weight at dim, 0 where b has none, for every dimension of a. The
+// dot product runs over a's dimensions in ascending order, so its cost
+// does not depend on b's length. For finite non-negative weights it
+// returns Cosine's exact bits: a product on a dimension b lacks is +0,
 // which leaves the running sum unchanged, so the sum adds the shared
-// products in the merge's order. dense must cover every dimension of b.
-func CosineGather(a Vector, dense []float64, b Vector, na, nb float64) float64 {
-	if len(a.Dims) == 0 || len(b.Dims) == 0 || na == 0 || nb == 0 {
+// products in the merge's order. An empty b has nb = 0 and scores 0, as
+// in Cosine.
+func CosineDense(a Vector, b []float64, na, nb float64) float64 {
+	if len(a.Dims) == 0 || na == 0 || nb == 0 {
 		return 0
 	}
 	var dot float64
-	for j, dim := range b.Dims {
-		dot += dense[dim] * b.Weights[j]
+	for i, dim := range a.Dims {
+		dot += a.Weights[i] * b[dim]
 	}
 	return normalizedDot(dot, na, nb)
 }

@@ -229,13 +229,13 @@ func TestMergeJoinMatchesMapFold(t *testing.T) {
 }
 
 // TestCosineWithNormsMatchesCosine checks that the norm-cached cosine and
-// the gather cosine return Cosine's exact bits: on seeded random sparse
+// the dense-row cosine return Cosine's exact bits: on seeded random sparse
 // vectors over a small dimension range (so most pairs share some
 // dimensions), and on the edge cases — empty vectors, all-zero weights,
 // disjoint, identical, and one vector's dimensions nested in the other's.
-// Every first vector is scattered into one array that held the previous
-// pair's vector and was reset with Unscatter, which must leave it all
-// zero.
+// Every second vector is written into one row that held the previous
+// pair's vector and was zeroed at its dimensions, as the sense rows of
+// the document path are reused.
 func TestCosineWithNormsMatchesCosine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func() Vector {
@@ -272,16 +272,15 @@ func TestCosineWithNormsMatchesCosine(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("pair %d %v · %v: CosineWithNorms %.17g, Cosine %.17g", i, a, b, got, want)
 		}
-		Scatter(dense, a)
-		got = CosineGather(a, dense, b, SquaredNorm(a), SquaredNorm(b))
-		Unscatter(dense, a)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("pair %d %v · %v: CosineGather %.17g, Cosine %.17g", i, a, b, got, want)
+		for j, dim := range b.Dims {
+			dense[dim] = b.Weights[j]
 		}
-		for dim, w := range dense {
-			if w != 0 {
-				t.Fatalf("pair %d: dimension %d holds %v after Unscatter", i, dim, w)
-			}
+		got = CosineDense(a, dense, SquaredNorm(a), SquaredNorm(b))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pair %d %v · %v: CosineDense %.17g, Cosine %.17g", i, a, b, got, want)
+		}
+		for _, dim := range b.Dims {
+			dense[dim] = 0
 		}
 	}
 }

@@ -58,8 +58,10 @@ func Generate(cfg GenerateConfig) (*semnet.Network, error) {
 	depthOf := make([]int, cfg.Concepts)
 	for i := 0; i < cfg.Concepts; i++ {
 		ids[i] = semnet.ConceptID(fmt.Sprintf("c%04d.n.01", i))
-		// 1-3 lemmas drawn from the shared vocabulary create polysemy.
-		nl := 1 + rng.Intn(3)
+		// 1-3 lemmas drawn from the shared vocabulary create polysemy,
+		// never more than the vocabulary holds (the draw stays, so every
+		// network of three or more lemmas is unchanged).
+		nl := min(1+rng.Intn(3), cfg.Lemmas)
 		lemmas := make([]string, 0, nl)
 		seen := map[string]bool{}
 		for len(lemmas) < nl {

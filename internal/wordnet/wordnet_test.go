@@ -2,8 +2,10 @@ package wordnet
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/semnet"
 )
@@ -150,6 +152,44 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(GenerateConfig{Concepts: 5, Lemmas: 1}); err == nil {
 		t.Error("expected error for too few lemmas")
+	}
+}
+
+// TestGenerateTwoLemmas: the smallest vocabulary Generate accepts still
+// builds a network. Each concept draws one to three distinct lemmas; a
+// draw of three from two never ended before the draw was capped, so the
+// call runs on a goroutine and the test fails instead of hanging.
+func TestGenerateTwoLemmas(t *testing.T) {
+	cfg := GenerateConfig{Seed: 5, Concepts: 300, Lemmas: 2, MaxBranch: 50, PartEvery: 2}
+	done := make(chan error, 1)
+	go func() {
+		n, err := Generate(cfg)
+		if err == nil && n.Len() != cfg.Concepts {
+			err = fmt.Errorf("Len = %d, want %d", n.Len(), cfg.Concepts)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Generate with 2 lemmas did not return within 30s")
+	}
+}
+
+// TestGenerateExportUnchanged pins the export of a default generated
+// network: capping the lemma draw at the vocabulary size leaves networks
+// of three or more lemmas byte for byte as they were.
+func TestGenerateExportUnchanged(t *testing.T) {
+	n, err := Generate(DefaultGenerateConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "093eea86b40d504eaea697081d169c615ab60f03acedf4333731d32cf47fdec2"
+	if got := n.Checksum(); got != want {
+		t.Errorf("sha256 of the export of DefaultGenerateConfig(1): %s, want %s", got, want)
 	}
 }
 
