@@ -151,7 +151,7 @@ func evaluateBagOfWords(r *experiments.Runner) eval.PRF {
 			if len(tokens) == 0 {
 				tokens = []string{n.Label}
 			}
-			senses := net.Senses(tokens[0])
+			senses := net.SensesDense(tokens[0])
 			if len(senses) == 0 {
 				continue
 			}
@@ -170,8 +170,8 @@ func evaluateBagOfWords(r *experiments.Runner) eval.PRF {
 					}
 					mx := 0.0
 					for _, ct := range ctokens {
-						for _, sj := range net.Senses(ct) {
-							if v := sim.Sim(sp, sj); v > mx {
+						if l := net.LemmaDense(ct); l >= 0 {
+							if v, _ := sim.WordSimDense(sp, l); v > mx {
 								mx = v
 							}
 						}
@@ -182,7 +182,7 @@ func evaluateBagOfWords(r *experiments.Runner) eval.PRF {
 					bestScore, best = score, sp
 				}
 			}
-			if string(best) == r.HumanSense(n) {
+			if id, _ := net.ConceptAt(best); string(id) == r.HumanSense(n) {
 				correct++
 			}
 		}
@@ -458,7 +458,7 @@ func BenchmarkPipelineSingleDocument(b *testing.B) {
 // corpus (the repeated-vocabulary workload the shared cache targets).
 //
 //   - shared-cache: one Framework reused across iterations, so after the
-//     first pass every pairwise similarity and sphere vector is warm;
+//     first pass every per-word similarity and sphere vector is warm;
 //   - shared-cache-combined: shared-cache under the combined method (the
 //     repository benchmark's configuration), so the context leg — the
 //     concept-vector memo and the cosine — runs as well;

@@ -32,6 +32,13 @@ func main() {
 	r := experiments.NewRunner(cfg)
 	net := r.Network()
 	sim := simmeasure.New(net, simmeasure.EqualWeights())
+	edge := simmeasure.New(net, simmeasure.EdgeOnly())
+	node := simmeasure.New(net, simmeasure.NodeOnly())
+	gloss := simmeasure.New(net, simmeasure.GlossOnly())
+	name := func(d semnet.DenseID) semnet.ConceptID {
+		id, _ := net.ConceptAt(d)
+		return id
+	}
 
 	shown := 0
 	for i, doc := range r.Docs() {
@@ -59,9 +66,9 @@ func main() {
 				tokens = []string{n.Label}
 			}
 			for _, t := range tokens {
-				for _, sp := range net.Senses(t) {
+				for _, sp := range net.SensesDense(t) {
 					var total float64
-					fmt.Printf("  candidate %-16s", sp)
+					fmt.Printf("  candidate %-16s", name(sp))
 					details := ""
 					for _, m := range members {
 						if m.Node == n {
@@ -72,18 +79,18 @@ func main() {
 							ctoks = []string{m.Node.Label}
 						}
 						var bestV float64
-						var bestS semnet.ConceptID
+						bestS := sp
 						cnt := 0
 						var sum float64
 						for _, ct := range ctoks {
-							senses := net.Senses(ct)
+							senses := net.SensesDense(ct)
 							if len(senses) == 0 {
 								continue
 							}
 							b := 0.0
-							var bs semnet.ConceptID
+							bs := sp
 							for _, sj := range senses {
-								if v := sim.Sim(sp, sj); v > b {
+								if v := sim.SimDense(sp, sj); v > b {
 									b, bs = v, sj
 								}
 							}
@@ -101,10 +108,10 @@ func main() {
 						total += avg * w
 						if avg*w > 0.004 && bestS != sp {
 							details += fmt.Sprintf("    %-14s via %-16s sim=%.3f w=%.3f (edge=%.2f node=%.2f gloss=%.2f)\n",
-								m.Node.Label, bestS, avg, w,
-								simmeasure.Edge(net, sp, bestS),
-								simmeasure.NodeIC(net, sp, bestS),
-								simmeasure.Gloss(net, sp, bestS))
+								m.Node.Label, name(bestS), avg, w,
+								edge.SimDense(sp, bestS),
+								node.SimDense(sp, bestS),
+								gloss.SimDense(sp, bestS))
 						}
 					}
 					total /= float64(len(members))

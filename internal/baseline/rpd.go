@@ -35,41 +35,44 @@ func NewRPD(net *semnet.Network) *RPD {
 // when the raw label (lower-cased, unsplit) has no senses.
 func (r *RPD) Node(x *xmltree.Node) (semnet.ConceptID, bool) {
 	// RPD performs no compound splitting: it uses the whole raw tag name.
-	label := rawLookupLabel(x)
-	senses := r.net.Senses(label)
+	senses := r.net.SensesDense(rawLookupLabel(x))
 	if len(senses) == 0 {
 		return "", false
 	}
+	id, _ := r.net.ConceptAt(r.best(x, senses))
+	return id, true
+}
+
+// best returns the sense of x with the maximal accumulated similarity to
+// the labels on its root path (excluding x itself). A label contributes
+// its best similarity over its senses, max(0, max_j Sim(s_p, s_j)) — the
+// word memo's value — and an unknown label contributes nothing. RPD
+// disambiguates element labels within the path only; a node with an
+// empty path context (the root) falls back to the first (dominant) sense.
+func (r *RPD) best(x *xmltree.Node, senses []semnet.DenseID) semnet.DenseID {
 	if len(senses) == 1 {
-		return senses[0], true
+		return senses[0]
 	}
-	// Context: labels on the root path (excluding the target itself).
-	var ctxLabels []string
+	var ctx []int32
 	for cur := x.Parent; cur != nil; cur = cur.Parent {
-		ctxLabels = append(ctxLabels, rawLookupLabel(cur))
+		if l := r.net.LemmaDense(rawLookupLabel(cur)); l >= 0 {
+			ctx = append(ctx, l)
+		}
 	}
-	// RPD disambiguates element labels within the path only; a node with an
-	// empty path context (the root) falls back to the first (dominant)
-	// sense.
 	best := senses[0]
 	bestScore := -1.0
 	for _, sp := range senses {
 		var score float64
-		for _, cl := range ctxLabels {
-			m := 0.0
-			for _, sj := range r.net.Senses(cl) {
-				if v := r.sim.Sim(sp, sj); v > m {
-					m = v
-				}
-			}
-			score += m
+		for _, l := range ctx {
+			v, _ := r.sim.WordSimDense(sp, l)
+			score += v
 		}
 		if score > bestScore {
 			bestScore = score
 			best = sp
 		}
 	}
-	return best, true
+	return best
 }
 
 // Apply runs RPD over the target nodes, writing senses in place, and

@@ -21,6 +21,7 @@ import (
 // implementation shared with XSDF, which is the same family).
 type VSD struct {
 	net *semnet.Network
+	sim *simmeasure.Measure // edge-only, shared by every node
 	// Sigma is the Gaussian decay width; the effective context radius is
 	// the largest distance whose weight stays >= Cutoff.
 	Sigma float64
@@ -31,7 +32,12 @@ type VSD struct {
 // NewVSD returns the baseline with the decay parameters reported as
 // defaults in the original study (sigma = 2, cutoff ≈ weight at distance 3).
 func NewVSD(net *semnet.Network) *VSD {
-	return &VSD{net: net, Sigma: 2, Cutoff: math.Exp(-9.0 / 8.0)}
+	return &VSD{
+		net:    net,
+		sim:    simmeasure.New(net, simmeasure.EdgeOnly()),
+		Sigma:  2,
+		Cutoff: math.Exp(-9.0 / 8.0),
+	}
 }
 
 // decay is the Gaussian edge-weight function exp(-d²/(2σ²)).
@@ -60,13 +66,9 @@ func (v *VSD) maxRadius() int {
 // XSDF): the first token's best sense is returned for evaluation. ok is
 // false when no token of the label has senses.
 func (v *VSD) Node(x *xmltree.Node) (semnet.ConceptID, bool) {
-	tokens := lingproc.SplitCompound(x.Raw)
-	for i, t := range tokens {
-		tokens[i] = lingproc.Normalize(t, v.net)
-	}
-	var senses []semnet.ConceptID
-	for _, t := range tokens {
-		if s := v.net.Senses(t); len(s) > 0 {
+	var senses []semnet.DenseID
+	for _, t := range contextTokens(x, v.net) {
+		if s := v.net.SensesDense(t); len(s) > 0 {
 			senses = s
 			break
 		}
@@ -74,11 +76,19 @@ func (v *VSD) Node(x *xmltree.Node) (semnet.ConceptID, bool) {
 	if len(senses) == 0 {
 		return "", false
 	}
+	id, _ := v.net.ConceptAt(v.best(x, senses))
+	return id, true
+}
+
+// best returns the sense of x with the maximal decay-weighted similarity
+// to its crossable context: each context node contributes its weight
+// times the best similarity over the senses of its tokens, max(0,
+// max_j Sim(s_p, s_j)) — the maximum of the tokens' word-memo values.
+func (v *VSD) best(x *xmltree.Node, senses []semnet.DenseID) semnet.DenseID {
 	if len(senses) == 1 {
-		return senses[0], true
+		return senses[0]
 	}
 	members := sphere.Sphere(x, v.maxRadius())
-	sim := simmeasure.New(v.net, simmeasure.EdgeOnly())
 	best := senses[0]
 	bestScore := -1.0
 	for _, sp := range senses {
@@ -93,8 +103,8 @@ func (v *VSD) Node(x *xmltree.Node) (semnet.ConceptID, bool) {
 			}
 			mx := 0.0
 			for _, tok := range contextTokens(m.Node, v.net) {
-				for _, sj := range v.net.Senses(tok) {
-					if s := sim.Sim(sp, sj); s > mx {
+				if l := v.net.LemmaDense(tok); l >= 0 {
+					if s, _ := v.sim.WordSimDense(sp, l); s > mx {
 						mx = s
 					}
 				}
@@ -106,11 +116,11 @@ func (v *VSD) Node(x *xmltree.Node) (semnet.ConceptID, bool) {
 			best = sp
 		}
 	}
-	return best, true
+	return best
 }
 
-// contextTokens returns the lexicon-normalized tokens of a context node's
-// raw label.
+// contextTokens returns the lexicon-normalized tokens of a node's raw
+// label.
 func contextTokens(n *xmltree.Node, net *semnet.Network) []string {
 	tokens := lingproc.SplitCompound(n.Raw)
 	for i, t := range tokens {

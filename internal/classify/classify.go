@@ -18,6 +18,7 @@ package classify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,10 +45,21 @@ func DocumentProfile(t *xmltree.Tree) Profile {
 	return p.normalize()
 }
 
+// concepts returns the profile's concepts in ascending order, the order
+// every sum over a profile runs in, so equal profiles sum to equal bits.
+func (p Profile) concepts() []semnet.ConceptID {
+	out := make([]semnet.ConceptID, 0, len(p))
+	for c := range p {
+		out = append(out, c)
+	}
+	slices.Sort(out)
+	return out
+}
+
 func (p Profile) normalize() Profile {
 	var norm float64
-	for _, w := range p {
-		norm += w * w
+	for _, c := range p.concepts() {
+		norm += p[c] * p[c]
 	}
 	if norm == 0 {
 		return p
@@ -62,8 +74,8 @@ func (p Profile) normalize() Profile {
 // Cosine is the exact concept-overlap similarity of two profiles.
 func Cosine(a, b Profile) float64 {
 	var dot float64
-	for c, w := range a {
-		dot += w * b[c]
+	for _, c := range a.concepts() {
+		dot += a[c] * b[c]
 	}
 	return dot
 }
@@ -168,17 +180,18 @@ func (c *Classifier) score(doc, cen Profile) float64 {
 // concept above the floor, weighted by both masses.
 func (c *Classifier) relaxed(doc, cen Profile) float64 {
 	var total float64
-	for dc, dw := range doc {
+	cens := cen.concepts()
+	for _, dc := range doc.concepts() {
 		best := 0.0
-		for cc, cw := range cen {
+		for _, cc := range cens {
 			if dc == cc {
 				continue // exact overlap already counted
 			}
-			if s := c.sim.Sim(dc, cc); s >= c.MinSim && s*cw > best {
-				best = s * cw
+			if s := c.sim.Sim(dc, cc); s >= c.MinSim && s*cen[cc] > best {
+				best = s * cen[cc]
 			}
 		}
-		total += dw * best
+		total += doc[dc] * best
 	}
 	return total
 }

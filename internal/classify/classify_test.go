@@ -1,6 +1,8 @@
 package classify
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -129,6 +131,41 @@ func TestClassifyRanking(t *testing.T) {
 	for i := 1; i < len(preds); i++ {
 		if preds[i].Score > preds[i-1].Score {
 			t.Error("predictions not sorted")
+		}
+	}
+}
+
+// TestClassifyRepeatable: identical train-and-classify runs give
+// bit-identical class scores for every document. The sums over a profile
+// run in ascending concept order; in map order, near-tied classes could
+// swap between runs.
+func TestClassifyRepeatable(t *testing.T) {
+	byDomain := disambiguatedCorpus(t)
+	run := func() []uint64 {
+		c := New(wordnet.Default())
+		for domain, ds := range byDomain {
+			c.Train(domain, ds...)
+		}
+		var bits []uint64
+		for _, domain := range c.Classes() {
+			for _, tr := range byDomain[domain] {
+				for _, p := range c.Classify(tr) {
+					bits = append(bits, math.Float64bits(p.Score))
+				}
+			}
+		}
+		return bits
+	}
+	first := run()
+	for rep := 1; rep < 5; rep++ {
+		if got := run(); !slices.Equal(got, first) {
+			differ := 0
+			for i := range got {
+				if got[i] != first[i] {
+					differ++
+				}
+			}
+			t.Fatalf("repetition %d: %d of %d class scores differ from the first run", rep, differ, len(first))
 		}
 	}
 }

@@ -12,13 +12,13 @@ import (
 // Cache is the shared, concurrency-safe memoization layer of the semantic
 // hot path. One Cache is owned by a core.Framework and shared by every
 // disambiguator the framework creates — all batch workers and all
-// intra-document node workers hit the same similarity (per-word and
-// pairwise) and concept-sphere-vector memos, so a corpus with repeated
-// vocabulary pays for each Sim(c1, c2) evaluation, each per-word maximum,
-// and each semantic-network sphere walk once, not once per document.
+// intra-document node workers hit the same per-word similarity and
+// concept-sphere-vector memos, so a corpus with repeated vocabulary pays
+// for each per-word maximum of Definition 8 and each semantic-network
+// sphere walk once, not once per document.
 //
-// The similarity memos key on dense int32 concept ids packed into
-// integers (see simmeasure.Measure). The concept-vector memo is one
+// The word memo keys on a dense int32 sense id and label id packed into
+// one integer (see simmeasure.Measure). The concept-vector memo is one
 // vecTable per radius, indexed by dense concept id: a warm read is one
 // index and one atomic load — no lock, no hashing, no allocation.
 //
@@ -61,11 +61,9 @@ func NewCache(net *semnet.Network, w simmeasure.Weights) *Cache {
 // Network returns the semantic network the cache memoizes over.
 func (c *Cache) Network() *semnet.Network { return c.net }
 
-// Measure returns the shared pairwise-similarity measure.
+// Measure returns the shared similarity measure, which holds the word
+// memo.
 func (c *Cache) Measure() *simmeasure.Measure { return c.sim }
-
-// Sim returns the memoized combined similarity of the pair.
-func (c *Cache) Sim(a, b semnet.ConceptID) float64 { return c.sim.Sim(a, b) }
 
 // vecTable is the concept-vector memo of one radius. Single-sense vectors
 // sit in one slot per dense concept id; a slot is stored once and only
@@ -165,39 +163,11 @@ func findPair(row *[]pairVector, q semnet.DenseID) (normedVector, bool) {
 	return normedVector{}, false
 }
 
-// ConceptVector returns the memoized semantic-network context vector
-// V_d(s) of a sense (Definition 10); unknown ids yield the empty vector.
-// The returned vector is shared: read-only.
-func (c *Cache) ConceptVector(id semnet.ConceptID, d int) sphere.Vector {
-	dc, ok := c.net.Dense(id)
-	if !ok {
-		return sphere.Vector{}
-	}
-	return c.ConceptVectorDense(dc, d)
-}
-
-// ConceptVectorDense is ConceptVector keyed by dense id.
+// ConceptVectorDense returns the memoized semantic-network context vector
+// V_d(s) of the in-range sense id (Definition 10). The returned vector is
+// shared: read-only.
 func (c *Cache) ConceptVectorDense(id semnet.DenseID, d int) sphere.Vector {
 	v, hit := c.table(d).concept(id)
-	c.countVector(hit)
-	return v.Vector
-}
-
-// PairVector returns the memoized combined concept vector V_d(s_p, s_q) of
-// a compound-label candidate pair (Eq. 12); unknown ids yield the empty
-// vector. The returned vector is shared: read-only.
-func (c *Cache) PairVector(p, q semnet.ConceptID, d int) sphere.Vector {
-	dp, okp := c.net.Dense(p)
-	dq, okq := c.net.Dense(q)
-	if !okp || !okq {
-		return sphere.Vector{}
-	}
-	return c.PairVectorDense(dp, dq, d)
-}
-
-// PairVectorDense is PairVector keyed by dense ids, in either order.
-func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
-	v, hit := c.table(d).pair(p, q)
 	c.countVector(hit)
 	return v.Vector
 }

@@ -99,24 +99,13 @@ func TestGoldenCachedVsBypass(t *testing.T) {
 					if sc.Score != sb.Score {
 						t.Errorf("node %q: cached score %.17g, bypass %.17g", n.Label, sc.Score, sb.Score)
 					}
-					// Re-score the winner through the public per-candidate
-					// APIs: a context rebuilt per call must return the same
-					// numbers every time.
-					if len(sc.Concepts) == 1 {
-						if a, b := cached.ConceptScore(sc.Concepts[0], n), cached.ConceptScore(sc.Concepts[0], n); a != b {
-							t.Errorf("node %q: ConceptScore unstable across calls: %g vs %g", n.Label, a, b)
-						}
-						if a, b := cached.ContextScore(sc.Concepts[0], n), bypass.ContextScore(sc.Concepts[0], n); a != b {
-							t.Errorf("node %q: ContextScore cached %g bypass %g", n.Label, a, b)
-						}
-					} else {
-						if a, b := cached.ConceptScoreCompound(sc.Concepts[0], sc.Concepts[1], n),
-							bypass.ConceptScoreCompound(sc.Concepts[0], sc.Concepts[1], n); a != b {
-							t.Errorf("node %q: compound concept score cached %g bypass %g", n.Label, a, b)
-						}
-						if a, b := cached.ContextScoreCompound(sc.Concepts[0], sc.Concepts[1], n),
-							bypass.ContextScoreCompound(sc.Concepts[0], sc.Concepts[1], n); a != b {
-							t.Errorf("node %q: compound context score cached %g bypass %g", n.Label, a, b)
+					// Every candidate's score, not only the winner's: the
+					// ranking behind Node, its context rebuilt per call,
+					// must match the bypass ranking bit for bit every time.
+					bypassed := bypass.Candidates(n)
+					for call := 1; call <= 2; call++ {
+						if got := cached.Candidates(n); !sameRanking(got, bypassed) {
+							t.Errorf("node %q call %d: cached candidates %v, bypass %v", n.Label, call, got, bypassed)
 						}
 					}
 				}
@@ -126,6 +115,14 @@ func TestGoldenCachedVsBypass(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sameRanking reports whether two candidate rankings list the same senses
+// in the same order with bit-identical scores.
+func sameRanking(a, b []Sense) bool {
+	return slices.EqualFunc(a, b, func(x, y Sense) bool {
+		return x.ID() == y.ID() && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
 }
 
 // TestSharedCacheAcrossDocuments proves the point of the shared layer:
@@ -197,7 +194,7 @@ func TestWarmVectorLookupAllocationFree(t *testing.T) {
 			benchSink += float64(c.ConceptVectorDense(p, 2).Len())
 			for _, q := range ids[:8] {
 				benchSink += d.pairVectorD(p, q, &tl).norm2
-				benchSink += float64(c.PairVectorDense(q, p, 2).Len())
+				benchSink += d.pairVectorD(q, p, &tl).norm2
 			}
 		}
 	}

@@ -377,30 +377,13 @@ type candidate struct {
 	n   int
 }
 
-// publicCandidate resolves public-API ConceptIDs into a candidate; ids
-// outside the network become the -1 sentinel (they score 0 against every
-// known concept, exactly as the string-keyed measures did).
-func (d *Disambiguator) publicCandidate(ids ...semnet.ConceptID) candidate {
-	c := candidate{n: len(ids)}
-	for i, id := range ids {
-		dc, ok := d.net.Dense(id)
-		if !ok {
-			dc = -1
-		}
-		c.ids[i] = dc
-	}
-	return c
-}
-
 // wordSim returns max_j Sim(s, s_j) over the senses of a context lemma,
 // from the document matrix cell when one is given, else through the
 // shared word memo, or straight from the uncached computation in bypass
 // mode. Every cached read passes the cache-poison fault point, which
 // chaos tests use to prove that a corrupted score degrades answer quality,
 // never answer shape; a poisoned value replaces the read and enters
-// neither the matrix nor the memo. The -1 sentinel (a public-API candidate
-// outside the network) scores 0, the exact value the component measures
-// produce for unknown concepts.
+// neither the matrix nor the memo.
 //
 // A cell holds the complemented bits of the memo's value, so a zeroed
 // cell reads as empty; a value whose complement is zero is never cached.
@@ -408,16 +391,10 @@ func (d *Disambiguator) publicCandidate(ids ...semnet.ConceptID) candidate {
 // in tl.
 func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint64, tl *cacheTally) float64 {
 	if d.bypassCache {
-		if s < 0 {
-			return 0
-		}
 		return d.cache.Measure().WordSimDirectDense(s, lemma)
 	}
 	if v, ok := faultinject.PoisonSim(); ok {
 		return v
-	}
-	if s < 0 {
-		return 0
 	}
 	if cell != nil {
 		if b := cell.Load(); b != 0 {
@@ -454,43 +431,11 @@ func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, 
 	return sum / float64(counted)
 }
 
-// ConceptScore computes Concept_Score(s_p, S_d(x), S̄N) (Definition 8): the
-// average over context nodes of the weighted maximum similarity between the
-// candidate sense and the context node's senses.
-func (d *Disambiguator) ConceptScore(sp semnet.ConceptID, x *xmltree.Node) float64 {
-	return d.scoreNode(ConceptBased, x, d.publicCandidate(sp))
-}
-
-// ConceptScoreCompound computes Eq. 10 for a compound target label: the
-// candidate is a pair of senses (s_p for token 1, s_q for token 2) and the
-// per-context-node similarity is the average of the individual
-// similarities.
-func (d *Disambiguator) ConceptScoreCompound(sp, sq semnet.ConceptID, x *xmltree.Node) float64 {
-	return d.scoreNode(ConceptBased, x, d.publicCandidate(sp, sq))
-}
-
-// ContextScore computes Context_Score(s_p, S_d(x), SN) (Definition 10): the
-// vector similarity between the target's XML context vector and the
-// candidate sense's semantic-network context vector.
-func (d *Disambiguator) ContextScore(sp semnet.ConceptID, x *xmltree.Node) float64 {
-	return d.scoreNode(ContextBased, x, d.publicCandidate(sp))
-}
-
-// ContextScoreCompound computes Eq. 12: the candidate pair's combined
-// semantic-network sphere (union of the two sense spheres) against the
-// target's XML context vector.
-func (d *Disambiguator) ContextScoreCompound(sp, sq semnet.ConceptID, x *xmltree.Node) float64 {
-	return d.scoreNode(ContextBased, x, d.publicCandidate(sp, sq))
-}
-
-// scoreNode scores one candidate against x's context, built per node
-// through pooled scratch.
-func (d *Disambiguator) scoreNode(method Method, x *xmltree.Node, c candidate) float64 {
-	s := ctxScratchPool.Get().(*ctxScratch)
-	defer d.releaseScratch(s)
-	return d.scoreAs(method, &c, d.buildContextInto(x, s))
-}
-
+// conceptScoreCtx computes Concept_Score(s_p, S_d(x), S̄N) (Definition 8):
+// the average over context nodes of the weighted maximum similarity
+// between the candidate sense and the context node's senses. For a
+// compound candidate (Eq. 10) the per-context-node similarity is the
+// average of its two senses' similarities.
 func (d *Disambiguator) conceptScoreCtx(c *candidate, pc *preparedContext) float64 {
 	if pc.size == 0 {
 		return 0
@@ -508,11 +453,8 @@ func (d *Disambiguator) conceptScoreCtx(c *candidate, pc *preparedContext) float
 }
 
 // conceptVectorD returns the cached semantic-network context vector of a
-// sense (empty for the -1 sentinel), counting the memo read in tl.
+// sense, counting the memo read in tl.
 func (d *Disambiguator) conceptVectorD(c semnet.DenseID, tl *cacheTally) normedVector {
-	if c < 0 {
-		return normedVector{}
-	}
 	if d.bypassCache {
 		var s sphere.ConceptScratch
 		return normed(sphere.ConceptVectorInto(d.net, c, d.opts.Radius, &s))
@@ -523,13 +465,10 @@ func (d *Disambiguator) conceptVectorD(c semnet.DenseID, tl *cacheTally) normedV
 }
 
 // pairVectorD returns the cached combined concept vector of a compound
-// candidate pair (empty when either id is the -1 sentinel), counting the
-// memo read in tl. The pair is canonicalized to dense-ascending order so
-// bypass and cached builds fold weights identically.
+// candidate pair, counting the memo read in tl. The pair is canonicalized
+// to dense-ascending order so bypass and cached builds fold weights
+// identically.
 func (d *Disambiguator) pairVectorD(p, q semnet.DenseID, tl *cacheTally) normedVector {
-	if p < 0 || q < 0 {
-		return normedVector{}
-	}
 	if d.bypassCache {
 		if q < p {
 			p, q = q, p
@@ -568,7 +507,11 @@ func (d *Disambiguator) mixWeights() (wc, wx float64) {
 	return 0.5, 0.5
 }
 
-// contextScoreCtx is the context-based leg of scoreAs.
+// contextScoreCtx is the context-based leg of scoreAs: Context_Score
+// (Definition 10), the vector similarity between the target's XML context
+// vector and the candidate sense's semantic-network context vector, or
+// for a compound candidate (Eq. 12) the vector of the union of its two
+// senses' spheres.
 func (d *Disambiguator) contextScoreCtx(c *candidate, pc *preparedContext) float64 {
 	if c.n == 2 {
 		return d.vectorScore(pc.vec, d.pairVectorD(c.ids[0], c.ids[1], pc.tally))

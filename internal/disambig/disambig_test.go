@@ -155,10 +155,21 @@ func TestContextScoreMatchesCosine(t *testing.T) {
 	cast := find(t, tr, "cast")
 	net := wordnet.Default()
 	d := New(net, Options{Radius: 1, Method: ContextBased, SimWeights: simmeasure.EqualWeights()})
-	got := d.ContextScore("cast.n.01", cast)
-	want := sphere.Cosine(sphere.ContextVector(cast, 1, net), sphere.ConceptVector(net, "cast.n.01", 1))
-	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("ContextScore = %.15f, want %.15f", got, want)
+	dc, _ := net.Dense("cast.n.01")
+	var s sphere.ConceptScratch
+	want := sphere.Cosine(sphere.ContextVector(cast, 1, net), sphere.ConceptVectorInto(net, dc, 1, &s))
+	found := false
+	for _, c := range d.Candidates(cast) {
+		if c.ID() != "cast.n.01" {
+			continue
+		}
+		found = true
+		if diff := c.Score - want; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("context score = %.15f, want %.15f", c.Score, want)
+		}
+	}
+	if !found {
+		t.Fatal("cast.n.01 is not a candidate of cast")
 	}
 }
 

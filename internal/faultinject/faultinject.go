@@ -75,7 +75,7 @@ const (
 	// PointLookup fires at each sense lookup during scoring; a hit makes
 	// the lookup behave like a failed semantic-network backend (no senses).
 	PointLookup
-	// PointCache fires at each cached pairwise-similarity read; a hit
+	// PointCache fires at each cached per-word similarity read; a hit
 	// returns a poisoned (out-of-range) score.
 	PointCache
 	// PointClock fires at each budget-tracker clock read; a hit skews the

@@ -235,11 +235,11 @@ func (p Panel) perceivedAmbiguity(net *semnet.Network, sim *simmeasure.Measure, 
 // publication, member of a club, ...) makes the meaning immediately
 // apparent to a human reader even when the taxonomic branches diverge.
 func (p Panel) contextObviousness(net *semnet.Network, sim *simmeasure.Measure, n *xmltree.Node) float64 {
-	gold := firstConcept(n.Gold)
-	if gold == "" {
-		return 0
+	goldID := semnet.ConceptID(firstConcept(n.Gold))
+	g, ok := net.Dense(goldID)
+	if !ok {
+		return 0 // no gold sense, or one outside the network: nothing is obvious
 	}
-	goldID := semnet.ConceptID(gold)
 	near := net.Neighborhood(goldID, 2)
 	best := 0.0
 	for _, m := range sphere.Sphere(n, 2) {
@@ -247,11 +247,12 @@ func (p Panel) contextObviousness(net *semnet.Network, sim *simmeasure.Measure, 
 			continue
 		}
 		for _, t := range tokensOf(m.Node) {
-			for _, s := range net.Senses(t) {
-				if _, hop := near[s]; hop && s != goldID {
+			for _, s := range net.SensesDense(t) {
+				id, _ := net.ConceptAt(s)
+				if _, hop := near[id]; hop && s != g {
 					return 0.9
 				}
-				if v := sim.Sim(goldID, s); v > best {
+				if v := sim.SimDense(g, s); v > best {
 					best = v
 				}
 			}

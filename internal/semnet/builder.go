@@ -158,7 +158,6 @@ func (b *Builder) Build() (*Network, error) {
 	clear(stamp)
 	n.buildAncestors(stamp)
 	n.buildGlossIndex()
-	n.lcsMemo.init()
 	return n, nil
 }
 

@@ -49,9 +49,8 @@ func (ix *ConceptIndex) ID(d DenseID) (ConceptID, bool) {
 }
 
 // mix64 is the 64-bit finalizer of MurmurHash3: two multiplies and three
-// xor-shifts. It is the shard/key mix for every integer-keyed cache in the
-// scoring core, replacing the per-lookup fnv/maphash-over-strings the
-// string-keyed shards needed.
+// xor-shifts. It is the shard mix of the integer-keyed caches in the
+// scoring core, so a lookup hashes no strings.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -133,30 +132,11 @@ func (n *Network) SensesDense(lemma string) []DenseID {
 	return nil
 }
 
-// LCSDense is LCS over dense ids: the deepest shared ancestor in the
-// hypernym hierarchy, memoized per ordered pair under sharded locks with a
-// two-multiply integer mix (no hasher allocation, no string conversion).
+// LCSDense is LCS over dense ids. It scans b's ancestors in BFS visit
+// order, keeping the deepest one that is also an ancestor of a (the first
+// such one on a depth tie); membership in a's ancestor set is a binary
+// search over the sorted dense ancestor array.
 func (n *Network) LCSDense(a, b DenseID) (DenseID, bool) {
-	key := PairKey(a, b)
-	sh := &n.lcsMemo.shards[mix64(key)&(lcsShardCount-1)]
-	sh.mu.RLock()
-	e, hit := sh.m[key]
-	sh.mu.RUnlock()
-	if hit {
-		return e.d, e.ok
-	}
-	d, ok := n.lcsComputeDense(a, b)
-	sh.mu.Lock()
-	sh.m[key] = lcsEntry{d: d, ok: ok}
-	sh.mu.Unlock()
-	return d, ok
-}
-
-// lcsComputeDense scans b's ancestors in BFS visit order — the same walk
-// (tie-breaks included) the string-keyed implementation did — keeping the
-// deepest one that is also an ancestor of a. Membership in a's ancestor set
-// is a binary search over the sorted dense ancestor array.
-func (n *Network) lcsComputeDense(a, b DenseID) (DenseID, bool) {
 	anc := n.ancSortedD[a]
 	best := DenseID(-1)
 	bestDepth := int32(-1)

@@ -52,6 +52,25 @@ func TestPathBetween(t *testing.T) {
 	}
 }
 
+// TestOutsideIDsHaveNoSubsumer: an id that is not part of the network has
+// no LCS and no path, even with itself, as it has no HypernymPath.
+func TestOutsideIDsHaveNoSubsumer(t *testing.T) {
+	n := buildFigure2(t)
+	for _, p := range [][2]ConceptID{
+		{"ghost.n.99", "actor.n.01"},
+		{"actor.n.01", "ghost.n.99"},
+		{"ghost.n.99", "ghost.n.99"},
+		{"ghost.n.99", "spook.n.01"},
+	} {
+		if lcs, ok := n.LCS(p[0], p[1]); ok || lcs != "" {
+			t.Errorf("LCS(%s, %s) = %q %v, want none", p[0], p[1], lcs, ok)
+		}
+		if path, ok := n.PathBetween(p[0], p[1]); ok || path != nil {
+			t.Errorf("PathBetween(%s, %s) = %v %v, want none", p[0], p[1], path, ok)
+		}
+	}
+}
+
 func TestPathBetweenOnEmbeddedLexiconShapes(t *testing.T) {
 	// Path length must match the edge-count implied by Wu-Palmer depths:
 	// len(path) = (depth(a)-depth(lcs)) + (depth(b)-depth(lcs)) + 1.

@@ -136,18 +136,16 @@ type Network struct {
 	sensesL  [][]DenseID
 
 	// Hot-path precomputations, all derived at Build time from the immutable
-	// edge set: per-concept ancestor visit lists (BFS order, exactly the
-	// walk LCS historically did) plus sorted copies for O(log d) membership
-	// feed LCS without re-walking the hypernym DAG per call, and expanded
-	// glosses, interned to token ids, feed the gloss-overlap kernel without
-	// re-concatenating neighbor glosses or comparing strings per pair. The
-	// network is immutable after Build, so these never invalidate.
+	// edge set: per-concept ancestor visit lists (BFS order over hypernyms)
+	// plus sorted copies for O(log d) membership feed LCS without
+	// re-walking the hypernym DAG per call, and expanded glosses, interned
+	// to token ids, feed the gloss-overlap kernel without re-concatenating
+	// neighbor glosses or comparing strings per pair. The network is
+	// immutable after Build, so these never invalidate.
 	ancListD   [][]int32    // BFS-from-concept visit order over hypernyms
 	ancSortedD [][]int32    // same contents, ascending (binary-search membership)
 	glossVocab []string     // interned gloss stems, indexed by token id
 	glossOccD  [][]GlossOcc // expanded gloss occurrences, sorted by (token, position)
-
-	lcsMemo lcsCache // concurrency-safe LCS memo (taxonomy walks dominate Sim cost)
 
 	// checksum memoizes Checksum() — the SHA-256 of the canonical Save
 	// bytes, the in-memory identity the hot-swap layer reports.
@@ -157,32 +155,6 @@ type Network struct {
 	// file is the identity of the codec file ReadFile read the network
 	// from; nil for networks built in memory.
 	file *FileInfo
-}
-
-// lcsCache memoizes LCS results under sharded locks so one immutable
-// Network can serve many goroutines without contention on a single mutex.
-// Keys are packed dense pairs; shard selection is a two-multiply integer
-// mix (mix64), so a lookup allocates nothing and hashes no strings.
-const lcsShardCount = 32
-
-type lcsCache struct {
-	shards [lcsShardCount]lcsShard
-}
-
-type lcsShard struct {
-	mu sync.RWMutex
-	m  map[uint64]lcsEntry
-}
-
-type lcsEntry struct {
-	d  DenseID
-	ok bool
-}
-
-func (c *lcsCache) init() {
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]lcsEntry)
-	}
 }
 
 func lower(s string) string { return strings.ToLower(s) }
@@ -288,69 +260,19 @@ func (n *Network) maxIC() float64 {
 
 // LCS returns the lowest common subsumer of a and b in the hypernym
 // hierarchy (the deepest shared ancestor, where a concept is an ancestor of
-// itself) and true, or "" and false when the two concepts share no ancestor.
-// Known pairs route through the int-keyed memo (LCSDense); ids outside the
-// network fall back to an uncached string walk.
+// itself) and true, or "" and false when the two concepts share no ancestor
+// or either is not part of the network.
 func (n *Network) LCS(a, b ConceptID) (ConceptID, bool) {
 	da, oka := n.index.Dense(a)
 	db, okb := n.index.Dense(b)
-	if oka && okb {
-		d, ok := n.LCSDense(da, db)
-		if !ok {
-			return "", false
-		}
-		return n.index.ids[d], true
-	}
-	return n.lcsComputeSlow(a, b)
-}
-
-// lcsComputeSlow handles ConceptIDs that are not part of the network: it
-// scans b's ancestors in BFS visit order (the same walk the dense path
-// reproduces, tie-breaks included) and keeps the deepest one that is also
-// an ancestor of a.
-func (n *Network) lcsComputeSlow(a, b ConceptID) (ConceptID, bool) {
-	anc := ancestorSetOf(n.ancestorList(a))
-	list := n.ancestorList(b)
-	var best ConceptID
-	bestDepth := -1
-	for _, cur := range list {
-		if _, ok := anc[cur]; ok {
-			if d := n.Depth(cur); d > bestDepth {
-				best, bestDepth = cur, d
-			}
-		}
-	}
-	if bestDepth < 0 {
+	if !oka || !okb {
 		return "", false
 	}
-	return best, true
-}
-
-// ancestorList returns a and all its transitive hypernyms in BFS visit
-// order (dedup on first visit), matching the walk LCS historically did.
-func (n *Network) ancestorList(a ConceptID) []ConceptID {
-	var out []ConceptID
-	seen := map[ConceptID]struct{}{}
-	queue := []ConceptID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if _, dup := seen[cur]; dup {
-			continue
-		}
-		seen[cur] = struct{}{}
-		out = append(out, cur)
-		queue = append(queue, n.Hypernyms(cur)...)
+	d, ok := n.LCSDense(da, db)
+	if !ok {
+		return "", false
 	}
-	return out
-}
-
-func ancestorSetOf(list []ConceptID) map[ConceptID]struct{} {
-	out := make(map[ConceptID]struct{}, len(list))
-	for _, id := range list {
-		out[id] = struct{}{}
-	}
-	return out
+	return n.index.ids[d], true
 }
 
 // GlossTokens returns the tokenized, stop-word-free, stemmed gloss of the

@@ -7,7 +7,8 @@ import (
 	"repro/internal/wordnet"
 )
 
-var benchPairs = [][2]semnet.ConceptID{
+// benchIDs are five concept pairs of the embedded lexicon.
+var benchIDs = [][2]semnet.ConceptID{
 	{"actor.n.01", "star.n.02"},
 	{"cast.n.01", "picture.n.02"},
 	{"book.n.01", "author.n.01"},
@@ -15,165 +16,154 @@ var benchPairs = [][2]semnet.ConceptID{
 	{"head.n.01", "line.n.08"},
 }
 
-func BenchmarkEdge(b *testing.B) {
-	net := wordnet.Default()
+// benchPairs returns benchIDs as dense ids of net.
+func benchPairs(tb testing.TB, net *semnet.Network) [][2]semnet.DenseID {
+	out := make([][2]semnet.DenseID, len(benchIDs))
+	for i, p := range benchIDs {
+		d := dense(tb, net, p[0], p[1])
+		out[i] = [2]semnet.DenseID{d[0], d[1]}
+	}
+	return out
+}
+
+// benchSimDense measures SimDense under weights w over the benchmark pairs.
+func benchSimDense(b *testing.B, w Weights) {
+	m := New(wordnet.Default(), w)
+	pairs := benchPairs(b, m.Network())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := benchPairs[i%len(benchPairs)]
-		Edge(net, p[0], p[1])
+		p := pairs[i%len(pairs)]
+		simSink += m.SimDense(p[0], p[1])
 	}
 }
 
-func BenchmarkNodeIC(b *testing.B) {
-	net := wordnet.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := benchPairs[i%len(benchPairs)]
-		NodeIC(net, p[0], p[1])
-	}
-}
-
-func BenchmarkGloss(b *testing.B) {
-	net := wordnet.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := benchPairs[i%len(benchPairs)]
-		Gloss(net, p[0], p[1])
-	}
-}
+func BenchmarkEdge(b *testing.B)   { benchSimDense(b, EdgeOnly()) }
+func BenchmarkNodeIC(b *testing.B) { benchSimDense(b, NodeOnly()) }
+func BenchmarkGloss(b *testing.B)  { benchSimDense(b, GlossOnly()) }
 
 func BenchmarkCombinedCold(b *testing.B) {
 	net := wordnet.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := New(net, EqualWeights()) // fresh cache each iteration
-		p := benchPairs[i%len(benchPairs)]
+		p := benchIDs[i%len(benchIDs)]
 		m.Sim(p[0], p[1])
 	}
 }
 
+// BenchmarkCombinedCached measures warm word-memo reads of the combined
+// measure: each benchmark pair's first sense against the primary label of
+// the second.
 func BenchmarkCombinedCached(b *testing.B) {
 	net := wordnet.Default()
 	m := New(net, EqualWeights())
-	for _, p := range benchPairs {
-		m.Sim(p[0], p[1]) // warm the cache
+	pairs := benchPairs(b, net)
+	for _, p := range pairs {
+		m.WordSimDense(p[0], net.LabelDense(p[1])) // warm the memo
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := benchPairs[i%len(benchPairs)]
-		m.Sim(p[0], p[1])
+		p := pairs[i%len(pairs)]
+		v, _ := m.WordSimDense(p[0], net.LabelDense(p[1]))
+		simSink += v
 	}
 }
 
-// warmMeasure returns a Measure over the embedded lexicon with every
-// pairwise similarity of the sample precomputed, plus the sampled ids in
-// both string and dense form.
-func warmMeasure(tb testing.TB, sample int) (*Measure, []semnet.ConceptID, []semnet.DenseID) {
+// warmMeasure returns a Measure over the embedded lexicon with the word
+// memo filled for every sampled sense against every sampled concept's
+// primary label, plus the sampled ids in string and dense form and the
+// primary label ids.
+func warmMeasure(tb testing.TB, sample int) (*Measure, []semnet.ConceptID, []semnet.DenseID, []int32) {
 	tb.Helper()
 	net := wordnet.Default()
 	ids := net.Concepts()
 	if len(ids) > sample {
 		ids = ids[:sample]
 	}
-	dense := make([]semnet.DenseID, len(ids))
-	for i, id := range ids {
-		d, ok := net.Dense(id)
-		if !ok {
-			tb.Fatalf("no dense id for %s", id)
-		}
-		dense[i] = d
+	d := dense(tb, net, ids...)
+	lemmas := make([]int32, len(d))
+	for i, c := range d {
+		lemmas[i] = net.LabelDense(c)
 	}
 	m := New(net, EqualWeights())
-	for _, a := range ids {
-		for _, b := range ids {
-			m.Sim(a, b)
+	for _, s := range d {
+		for _, l := range lemmas {
+			m.WordSimDense(s, l)
 		}
 	}
-	return m, ids, dense
+	return m, ids, d, lemmas
 }
 
-// TestWarmSimLookupAllocationFree pins the shard-fix goal: once a pair is
-// cached, Sim, SimDense and WordSimDense perform zero heap allocations per
-// lookup — the packed int-pair key and two-multiply shard mix replaced the
-// per-lookup maphash hasher and string conversions of the string-keyed
-// cache. It also pins the uncached computation: SimDirectDense over pairs
-// whose LCS is memoized allocates nothing either, because the gloss
-// overlap kernel runs on interned occurrence lists with pooled scratch.
+// TestWarmSimLookupAllocationFree pins the allocation behaviour of the
+// measure: a warm word-memo read allocates nothing — the packed int-pair
+// key and two-multiply shard mix need no hasher and no string conversion
+// — and neither does the uncached pair computation, through SimDense or
+// the ConceptID adapter Sim, because LCS scans precomputed ancestor lists
+// and the gloss overlap kernel runs on interned occurrence lists with
+// pooled scratch.
 func TestWarmSimLookupAllocationFree(t *testing.T) {
-	m, ids, dense := warmMeasure(t, 40)
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := range ids {
-			for j := range ids {
-				m.Sim(ids[i], ids[j])
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm Sim sweep allocates %.1f times, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		for i := range dense {
-			for j := range dense {
-				m.SimDense(dense[i], dense[j])
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm SimDense sweep allocates %.1f times, want 0", allocs)
-	}
-	if !raceEnabled {
-		allocs = testing.AllocsPerRun(100, func() {
-			for i := range dense {
-				for j := range dense {
-					m.SimDirectDense(dense[i], dense[j])
-				}
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("uncached SimDirectDense sweep allocates %.1f times, want 0", allocs)
-		}
-	}
-	lemmas := make([]int32, len(dense))
-	for i, d := range dense {
-		lemmas[i] = m.Network().LabelDense(d)
-	}
+	m, ids, d, lemmas := warmMeasure(t, 40)
 	wordSweep := func() {
-		for _, d := range dense {
+		for _, s := range d {
 			for _, l := range lemmas {
-				simSink, _ = m.WordSimDense(d, l)
+				simSink, _ = m.WordSimDense(s, l)
 			}
 		}
 	}
-	wordSweep()
-	allocs = testing.AllocsPerRun(100, wordSweep)
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, wordSweep); allocs != 0 {
 		t.Errorf("warm WordSimDense sweep allocates %.1f times, want 0", allocs)
 	}
-}
-
-// BenchmarkSimDenseWarm measures a warm cache hit on the dense fast path
-// used by the disambiguation inner loop.
-func BenchmarkSimDenseWarm(b *testing.B) {
-	m, _, dense := warmMeasure(b, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SimDense(dense[i%len(dense)], dense[(i*7+3)%len(dense)])
+	if raceEnabled {
+		return
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range d {
+			for j := range d {
+				simSink = m.SimDense(d[i], d[j])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SimDense sweep allocates %.1f times, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := range ids {
+			for j := range ids {
+				simSink = m.Sim(ids[i], ids[j])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Sim sweep allocates %.1f times, want 0", allocs)
 	}
 }
 
-// BenchmarkSimDirectDense measures the uncached combined similarity — the
-// cost of one memo fill — averaged over every ordered pair of a 40-concept
-// sample with warm LCS memo entries, so the figure is dominated by the
-// gloss overlap kernel.
-func BenchmarkSimDirectDense(b *testing.B) {
-	m, _, dense := warmMeasure(b, 40)
+// BenchmarkSimDenseWarm measures a warm word-memo read, the similarity
+// lookup of the disambiguation inner loop, over the 40 × 40 sample of
+// senses and primary labels.
+func BenchmarkSimDenseWarm(b *testing.B) {
+	m, _, d, lemmas := warmMeasure(b, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % (len(dense) * len(dense))
-		simSink += m.SimDirectDense(dense[k/len(dense)], dense[k%len(dense)])
+		v, _ := m.WordSimDense(d[i%len(d)], lemmas[(i*7+3)%len(lemmas)])
+		simSink += v
+	}
+}
+
+// BenchmarkSimDense measures the combined pair similarity — the cost of
+// one sense pair in a word-memo fill — averaged over every ordered pair of
+// a 40-concept sample, so the figure is dominated by the gloss overlap
+// kernel.
+func BenchmarkSimDense(b *testing.B) {
+	m, _, d, _ := warmMeasure(b, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % (len(d) * len(d))
+		simSink += m.SimDense(d[k/len(d)], d[k%len(d)])
 	}
 }
 

@@ -16,26 +16,13 @@ import (
 // magnitude to the edge- and node-based measures it is combined with.
 const glossSaturation = 8.0
 
-// Gloss is a normalized extended gloss overlap: the glosses of each concept
-// are expanded with the glosses of its directly related concepts, maximal
-// shared phrases are scored quadratically (a phrase of n consecutive shared
-// words scores n²), and the raw score is squashed into [0, 1) by
-// raw/(raw+K). Concepts outside the network score 0.
-func Gloss(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	d1, ok1 := net.Dense(c1)
-	d2, ok2 := net.Dense(c2)
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return glossDense(net, d1, d2)
-}
-
-// glossDense is Gloss over dense ids. The overlap's tie-break depends on
-// the argument order (d1's gloss gives the rows), so callers that need a
-// symmetric value canonicalize the pair first.
+// glossDense is the normalized extended gloss overlap Sim_Gloss over dense
+// ids: the glosses of each concept are expanded with the glosses of its
+// directly related concepts, maximal shared phrases are scored
+// quadratically (a phrase of n consecutive shared words scores n²), and
+// the raw score is squashed into [0, 1) by raw/(raw+K). The overlap's
+// tie-break depends on the argument order (d1's gloss gives the rows), so
+// callers that need a symmetric value canonicalize the pair first.
 func glossDense(net *semnet.Network, d1, d2 semnet.DenseID) float64 {
 	raw := glossOverlap(net.GlossOccurrencesDense(d1), net.GlossOccurrencesDense(d2))
 	return raw / (raw + glossSaturation)

@@ -58,7 +58,7 @@ func (w Weights) Normalize() Weights {
 	return Weights{Edge: w.Edge / s, Node: w.Node / s, Gloss: w.Gloss / s}
 }
 
-// simShardCount is the number of shards of each similarity memo.
+// simShardCount is the number of shards of the word memo.
 // Sharding keeps many disambiguation goroutines from serializing on one
 // mutex; 64 shards are plenty for the worker counts a single host runs.
 const simShardCount = 64
@@ -120,16 +120,14 @@ func (sh *simShard) insert(key uint64, v float64) {
 }
 
 // Measure evaluates combined semantic similarity between concepts of one
-// network. It keeps two memos, because disambiguation evaluates the same
-// sense pairs many times across context nodes — and, when one Measure is
-// shared by a whole batch run, across documents:
-//
-//   - the pair memo holds Sim(c1, c2), keyed by the packed dense pair in
-//     canonical dense-ascending order;
-//   - the word memo holds WordSimDense(s, lemma), the maximum of Sim over
-//     a context lemma's senses that Definition 8 takes per context token,
-//     keyed by the packed (sense, label id) pair. It is filled through the
-//     pair memo, so a cold fill still computes each sense pair once.
+// network. Sense pairs are computed, not memoized: a pair costs a few
+// hundred nanoseconds without allocating (one LCS scan over the
+// precomputed ancestor lists, the gloss-overlap kernel over interned
+// occurrence lists), and the scoring core reads similarity only through
+// Definition 8's per-word maximum. That maximum has the one memo, the
+// word memo: WordSimDense(s, lemma), the maximum of Sim over a context
+// lemma's senses, keyed by the packed (sense, label id) pair, so a warm
+// read is one map probe however many senses the lemma has.
 //
 // Shard selection is a two-multiply integer mix: a warm lookup allocates
 // nothing, hashes no strings, and takes Go's fast uint64 map-access path.
@@ -145,7 +143,6 @@ func (sh *simShard) insert(key uint64, v float64) {
 type Measure struct {
 	net     *semnet.Network
 	weights Weights
-	shards  [simShardCount]simShard
 	words   [simShardCount]simShard
 }
 
@@ -155,8 +152,7 @@ func New(net *semnet.Network, w Weights) *Measure {
 		net:     net,
 		weights: w.Normalize(),
 	}
-	for i := range m.shards {
-		m.shards[i].dirty = make(map[uint64]float64)
+	for i := range m.words {
 		m.words[i].dirty = make(map[uint64]float64)
 	}
 	return m
@@ -168,8 +164,9 @@ func (m *Measure) Weights() Weights { return m.weights }
 // Network returns the network the measure scores over.
 func (m *Measure) Network() *semnet.Network { return m.net }
 
-// Sim returns the combined similarity Sim(c1, c2, S̄N) in [0, 1]
-// (Definition 9). Identical concepts score 1. Sim is symmetric.
+// Sim is SimDense for callers that hold concept ids as strings (document
+// classification, tree edit distance, the examples). Identical ids score
+// 1, and an id outside the network scores 0 against any other id.
 func (m *Measure) Sim(c1, c2 semnet.ConceptID) float64 {
 	if c1 == c2 {
 		return 1
@@ -177,17 +174,18 @@ func (m *Measure) Sim(c1, c2 semnet.ConceptID) float64 {
 	d1, ok1 := m.net.Dense(c1)
 	d2, ok2 := m.net.Dense(c2)
 	if !ok1 || !ok2 {
-		// Ids outside the network cannot collide with dense keys; compute
-		// uncached (they score 0 on every component measure anyway).
-		return m.simDirectSlow(c1, c2)
+		return 0
 	}
 	return m.SimDense(d1, d2)
 }
 
-// SimDense is Sim over dense ids — the scoring core's entry point. The
-// pair is canonicalized to dense-ascending order for both the cache key
-// and the (order-sensitive, tie-break-wise) computation, so SimDense,
-// Sim, and SimDirect agree bit for bit in every argument order.
+// SimDense returns the combined similarity Sim(c1, c2, S̄N) in [0, 1] of
+// two in-range dense ids (Definition 9). Identical concepts score 1. The
+// pair is evaluated in canonical dense-ascending order, because the LCS
+// and gloss-overlap tie-breaks depend on argument order, so SimDense is
+// symmetric bit for bit. The edge and node terms share one LCS scan, and
+// a term whose weight is zero is not computed: it would add an exact
+// zero to a sum that is never -0.
 func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
 	if d1 == d2 {
 		return 1
@@ -195,120 +193,63 @@ func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
 	if d2 < d1 {
 		d1, d2 = d2, d1
 	}
-	key := semnet.PairKey(d1, d2)
-	sh := &m.shards[semnet.MixPair(d1, d2)%simShardCount]
-	if v, ok := sh.lookup(key); ok {
-		return v
+	var v float64
+	if m.weights.Edge != 0 || m.weights.Node != 0 {
+		if lcs, ok := m.net.LCSDense(d1, d2); ok {
+			v = m.weights.Edge*m.edgeDense(d1, d2, lcs) + m.weights.Node*m.nodeICDense(d1, d2, lcs)
+		}
 	}
-	v := m.simComputeDense(d1, d2)
-	sh.insert(key, v)
+	if m.weights.Gloss != 0 {
+		v += m.weights.Gloss * glossDense(m.net, d1, d2)
+	}
+	if v < 0 {
+		v = 0
+	} else if v > 1 {
+		v = 1
+	}
 	return v
 }
+
+// SimDirectDense is SimDense under the name perfbench's kernel replay
+// times it by.
+func (m *Measure) SimDirectDense(d1, d2 semnet.DenseID) float64 { return m.SimDense(d1, d2) }
 
 // WordSimDense returns the similarity of sense s to a word: max(0,
 // max_j Sim(s, s_j)) over the senses s_j of the lemma with label id lemma
 // (semnet.Network.LemmaDense) — the inner maximum of Definition 8, which
-// depends only on (s, lemma) and is memoized per pair. A fill evaluates
-// the sense pairs through SimDense. hit reports whether the memo answered
-// (false: this call computed and filled the entry). s and lemma must be in
-// range.
+// depends only on (s, lemma) and is memoized per pair. hit reports
+// whether the memo answered (false: this call computed and filled the
+// entry). s and lemma must be in range.
 func (m *Measure) WordSimDense(s semnet.DenseID, lemma int32) (v float64, hit bool) {
 	key := semnet.PairKey(s, lemma)
 	sh := &m.words[semnet.MixPair(s, lemma)%simShardCount]
 	if cached, ok := sh.lookup(key); ok {
 		return cached, true
 	}
+	v = m.WordSimDirectDense(s, lemma)
+	sh.insert(key, v)
+	return v, false
+}
+
+// WordSimDirectDense is WordSimDense without consulting or filling the
+// memo — the bypass twin differential tests compare it against.
+func (m *Measure) WordSimDirectDense(s semnet.DenseID, lemma int32) float64 {
 	best := 0.0
 	for _, sj := range m.net.LemmaSensesDense(lemma) {
 		if v := m.SimDense(s, sj); v > best {
 			best = v
 		}
 	}
-	sh.insert(key, best)
-	return best, false
-}
-
-// WordSimDirectDense is WordSimDense without consulting or filling either
-// memo — the bypass twin differential tests compare it against. A maximum
-// does not depend on evaluation order, so the two agree bit for bit.
-func (m *Measure) WordSimDirectDense(s semnet.DenseID, lemma int32) float64 {
-	best := 0.0
-	for _, sj := range m.net.LemmaSensesDense(lemma) {
-		if v := m.SimDirectDense(s, sj); v > best {
-			best = v
-		}
-	}
 	return best
 }
 
-// SimDirect computes the combined similarity without consulting or filling
-// the cache — the bypass path differential tests compare Sim against. It
-// evaluates the pair in canonical order, exactly as Sim caches it, so
-// Sim(a, b) == SimDirect(a, b) == SimDirect(b, a) bit for bit.
-func (m *Measure) SimDirect(c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	d1, ok1 := m.net.Dense(c1)
-	d2, ok2 := m.net.Dense(c2)
-	if !ok1 || !ok2 {
-		return m.simDirectSlow(c1, c2)
-	}
-	if d2 < d1 {
-		d1, d2 = d2, d1
-	}
-	return m.simComputeDense(d1, d2)
-}
-
-// SimDirectDense is SimDirect over dense ids (the bypass path of the
-// dense scoring core).
-func (m *Measure) SimDirectDense(d1, d2 semnet.DenseID) float64 {
-	if d1 == d2 {
-		return 1
-	}
-	if d2 < d1 {
-		d1, d2 = d2, d1
-	}
-	return m.simComputeDense(d1, d2)
-}
-
-// simComputeDense evaluates the weighted combination for a canonical
-// (dense-ascending) pair. The edge and node terms share one LCS probe.
-func (m *Measure) simComputeDense(d1, d2 semnet.DenseID) float64 {
-	var edge, node float64
-	if lcs, ok := m.net.LCSDense(d1, d2); ok {
-		edge = m.edgeDense(d1, d2, lcs)
-		node = m.nodeICDense(d1, d2, lcs)
-	}
-	v := m.weights.Edge*edge +
-		m.weights.Node*node +
-		m.weights.Gloss*glossDense(m.net, d1, d2)
-	if v < 0 {
-		v = 0
-	} else if v > 1 {
-		v = 1
-	}
-	return v
-}
-
-// simDirectSlow handles ConceptIDs outside the network's index through the
-// string-keyed component measures, canonicalized by string order.
-func (m *Measure) simDirectSlow(c1, c2 semnet.ConceptID) float64 {
-	if c2 < c1 {
-		c1, c2 = c2, c1
-	}
-	v := m.weights.Edge*Edge(m.net, c1, c2) +
-		m.weights.Node*NodeIC(m.net, c1, c2) +
-		m.weights.Gloss*Gloss(m.net, c1, c2)
-	if v < 0 {
-		v = 0
-	} else if v > 1 {
-		v = 1
-	}
-	return v
-}
-
-// edgeDense is Edge over dense ids, given their LCS.
+// edgeDense is the Wu-Palmer edge-based measure over dense ids, given
+// their LCS:
+//
+//	Sim_Edge(c1, c2) = 2·depth(LCS) / (depth(c1) + depth(c2))
+//
+// where depth counts hypernym links from the hierarchy root (roots have
+// depth 1). Concepts without a common subsumer score 0.
 func (m *Measure) edgeDense(c1, c2, lcs semnet.DenseID) float64 {
 	d1, d2 := m.net.DepthDense(c1), m.net.DepthDense(c2)
 	if d1+d2 == 0 {
@@ -317,62 +258,18 @@ func (m *Measure) edgeDense(c1, c2, lcs semnet.DenseID) float64 {
 	return 2 * float64(m.net.DepthDense(lcs)) / float64(d1+d2)
 }
 
-// nodeICDense is NodeIC over dense ids, given their LCS.
+// nodeICDense is Lin's node-based measure over dense ids, given their LCS:
+//
+//	Sim_Node(c1, c2) = 2·IC(LCS) / (IC(c1) + IC(c2))
+//
+// using the cumulative-frequency information content of the weighted
+// network. Concepts without a common subsumer score 0.
 func (m *Measure) nodeICDense(c1, c2, lcs semnet.DenseID) float64 {
 	ic1, ic2 := m.net.ICDense(c1), m.net.ICDense(c2)
 	if ic1+ic2 <= 0 {
 		return 0
 	}
 	v := 2 * m.net.ICDense(lcs) / (ic1 + ic2)
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// Edge is the Wu-Palmer edge-based measure:
-//
-//	Sim_Edge(c1, c2) = 2·depth(LCS) / (depth(c1) + depth(c2))
-//
-// where depth counts hypernym links from the hierarchy root (roots have
-// depth 1). Concepts without a common subsumer score 0.
-func Edge(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	lcs, ok := net.LCS(c1, c2)
-	if !ok {
-		return 0
-	}
-	d1, d2 := net.Depth(c1), net.Depth(c2)
-	if d1+d2 == 0 {
-		return 0
-	}
-	return 2 * float64(net.Depth(lcs)) / float64(d1+d2)
-}
-
-// NodeIC is Lin's node-based measure:
-//
-//	Sim_Node(c1, c2) = 2·IC(LCS) / (IC(c1) + IC(c2))
-//
-// using the cumulative-frequency information content of the weighted
-// network. Concepts without a common subsumer score 0.
-func NodeIC(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	lcs, ok := net.LCS(c1, c2)
-	if !ok {
-		return 0
-	}
-	ic1, ic2 := net.IC(c1), net.IC(c2)
-	if ic1+ic2 <= 0 {
-		return 0
-	}
-	v := 2 * net.IC(lcs) / (ic1 + ic2)
 	if v < 0 {
 		return 0
 	}

@@ -35,49 +35,69 @@ func testNet(t *testing.T) *semnet.Network {
 	return n
 }
 
+// dense returns the dense ids of the named concepts.
+func dense(tb testing.TB, net *semnet.Network, ids ...semnet.ConceptID) []semnet.DenseID {
+	tb.Helper()
+	out := make([]semnet.DenseID, len(ids))
+	for i, id := range ids {
+		d, ok := net.Dense(id)
+		if !ok {
+			tb.Fatalf("no dense id for %s", id)
+		}
+		out[i] = d
+	}
+	return out
+}
+
 func TestEdgeWuPalmer(t *testing.T) {
 	n := testNet(t)
+	edge := New(n, EdgeOnly())
+	d := dense(t, n, "actor.n.01", "star.n.02", "rock.n.01")
 	// actor (depth 4) and star (depth 4) share performer (depth 3):
 	// 2*3/(4+4) = 0.75.
-	if got := Edge(n, "actor.n.01", "star.n.02"); math.Abs(got-0.75) > 1e-9 {
+	if got := edge.SimDense(d[0], d[1]); math.Abs(got-0.75) > 1e-9 {
 		t.Errorf("Edge(actor, star) = %.4f, want 0.75", got)
 	}
 	// actor vs rock: LCS entity (depth 1), depths 4 and 3: 2/(4+3).
-	if got := Edge(n, "actor.n.01", "rock.n.01"); math.Abs(got-2.0/7) > 1e-9 {
+	if got := edge.SimDense(d[0], d[2]); math.Abs(got-2.0/7) > 1e-9 {
 		t.Errorf("Edge(actor, rock) = %.4f, want %.4f", got, 2.0/7)
 	}
-	if got := Edge(n, "actor.n.01", "actor.n.01"); got != 1 {
+	if got := edge.SimDense(d[0], d[0]); got != 1 {
 		t.Errorf("Edge(x, x) = %f", got)
 	}
 }
 
 func TestNodeICLin(t *testing.T) {
 	n := testNet(t)
-	sibling := NodeIC(n, "actor.n.01", "star.n.02")
-	distant := NodeIC(n, "actor.n.01", "rock.n.01")
+	node := New(n, NodeOnly())
+	d := dense(t, n, "actor.n.01", "star.n.02", "rock.n.01")
+	sibling := node.SimDense(d[0], d[1])
+	distant := node.SimDense(d[0], d[2])
 	if !(sibling > distant) {
 		t.Errorf("Lin: sibling %.4f should exceed distant %.4f", sibling, distant)
 	}
 	if sibling <= 0 || sibling > 1 {
 		t.Errorf("Lin out of range: %f", sibling)
 	}
-	if got := NodeIC(n, "star.n.02", "star.n.02"); got != 1 {
+	if got := node.SimDense(d[1], d[1]); got != 1 {
 		t.Errorf("Lin(x, x) = %f", got)
 	}
 }
 
 func TestGlossOverlap(t *testing.T) {
 	n := testNet(t)
+	gloss := New(n, GlossOnly())
+	d := dense(t, n, "actor.n.01", "star.n.02", "rock.n.01")
 	// actor's and star's glosses share the phrase "in a play or film".
-	related := Gloss(n, "actor.n.01", "star.n.02")
-	unrelated := Gloss(n, "actor.n.01", "rock.n.01")
+	related := gloss.SimDense(d[0], d[1])
+	unrelated := gloss.SimDense(d[0], d[2])
 	if !(related > unrelated) {
 		t.Errorf("gloss: related %.4f should exceed unrelated %.4f", related, unrelated)
 	}
 	if related <= 0 || related >= 1 {
 		t.Errorf("gloss out of range: %f", related)
 	}
-	if got := Gloss(n, "rock.n.01", "rock.n.01"); got != 1 {
+	if got := gloss.SimDense(d[2], d[2]); got != 1 {
 		t.Errorf("Gloss(x, x) = %f", got)
 	}
 }
@@ -109,22 +129,30 @@ func TestWeightsNormalize(t *testing.T) {
 	}
 }
 
+// TestMeasureCombinationAndCache: the combined measure is the mean of the
+// three single measures under equal weights, symmetric bit for bit, and
+// the ConceptID adapter Sim agrees with SimDense, scores identical ids 1
+// and ids outside the network 0.
 func TestMeasureCombinationAndCache(t *testing.T) {
 	n := testNet(t)
 	m := New(n, EqualWeights())
+	d := dense(t, n, "actor.n.01", "star.n.02")
 	s1 := m.Sim("actor.n.01", "star.n.02")
-	s2 := m.Sim("star.n.02", "actor.n.01") // symmetric, cached
-	if s1 != s2 {
-		t.Errorf("Sim not symmetric: %f vs %f", s1, s2)
+	s2 := m.Sim("star.n.02", "actor.n.01")
+	if math.Float64bits(s1) != math.Float64bits(s2) || s1 != m.SimDense(d[0], d[1]) {
+		t.Errorf("Sim not symmetric or not SimDense: %v, %v, %v", s1, s2, m.SimDense(d[0], d[1]))
 	}
-	want := (Edge(n, "actor.n.01", "star.n.02") +
-		NodeIC(n, "actor.n.01", "star.n.02") +
-		Gloss(n, "actor.n.01", "star.n.02")) / 3
+	want := (New(n, EdgeOnly()).SimDense(d[0], d[1]) +
+		New(n, NodeOnly()).SimDense(d[0], d[1]) +
+		New(n, GlossOnly()).SimDense(d[0], d[1])) / 3
 	if math.Abs(s1-want) > 1e-9 {
 		t.Errorf("combined = %f, want %f", s1, want)
 	}
-	if m.Sim("actor.n.01", "actor.n.01") != 1 {
+	if m.Sim("actor.n.01", "actor.n.01") != 1 || m.Sim("ghost.n.99", "ghost.n.99") != 1 {
 		t.Error("Sim(x,x) != 1")
+	}
+	if m.Sim("ghost.n.99", "actor.n.01") != 0 || m.Sim("actor.n.01", "ghost.n.99") != 0 {
+		t.Error("an id outside the network should score 0")
 	}
 }
 
@@ -133,8 +161,9 @@ func TestMeasureSingleComponents(t *testing.T) {
 	if got := New(n, EdgeOnly()).Sim("actor.n.01", "star.n.02"); math.Abs(got-0.75) > 1e-9 {
 		t.Errorf("edge-only Sim = %f", got)
 	}
-	gOnly := New(n, GlossOnly()).Sim("actor.n.01", "star.n.02")
-	if math.Abs(gOnly-Gloss(n, "actor.n.01", "star.n.02")) > 1e-9 {
+	d := dense(t, n, "actor.n.01", "star.n.02")
+	gOnly := New(n, GlossOnly()).Sim("star.n.02", "actor.n.01")
+	if math.Abs(gOnly-glossDense(n, min(d[0], d[1]), max(d[0], d[1]))) > 1e-9 {
 		t.Errorf("gloss-only Sim = %f", gOnly)
 	}
 }
@@ -194,16 +223,19 @@ func TestSimPropertyRandomPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := net.Concepts()
+	ms := []*Measure{New(net, EdgeOnly()), New(net, NodeOnly()), New(net, GlossOnly())}
 	f := func(i, j uint16) bool {
-		a := ids[int(i)%len(ids)]
-		b := ids[int(j)%len(ids)]
-		for _, v := range []float64{Edge(net, a, b), NodeIC(net, a, b), Gloss(net, a, b)} {
-			if v < 0 || v > 1 || math.IsNaN(v) {
+		a := semnet.DenseID(int(i) % net.Len())
+		b := semnet.DenseID(int(j) % net.Len())
+		for _, m := range ms {
+			if v := m.SimDense(a, b); v < 0 || v > 1 || math.IsNaN(v) {
+				return false
+			}
+			if m.SimDense(a, a) != 1 {
 				return false
 			}
 		}
-		return Edge(net, a, a) == 1 && NodeIC(net, a, a) == 1
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
@@ -238,11 +270,11 @@ func wordSample(net *semnet.Network, n int) (pairs [][2]int32, own map[[2]int32]
 }
 
 // wantWordSim is Definition 8's per-word maximum written out over the
-// uncached pair measure: max(0, max_j SimDirectDense(s, s_j)).
+// pair measure: max(0, max_j SimDense(s, s_j)).
 func wantWordSim(m *Measure, s semnet.DenseID, lemma int32) float64 {
 	best := 0.0
 	for _, sj := range m.Network().LemmaSensesDense(lemma) {
-		best = math.Max(best, m.SimDirectDense(s, sj))
+		best = math.Max(best, m.SimDense(s, sj))
 	}
 	return best
 }

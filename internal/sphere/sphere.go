@@ -158,32 +158,6 @@ func ContextVector(x *xmltree.Node, d int, voc Vocab) Vector {
 	return VectorFromMembers(Sphere(x, d), d, voc)
 }
 
-// ConceptSphereMember is one concept of a semantic-network sphere with its
-// hop distance from the center concept.
-type ConceptSphereMember struct {
-	ID   semnet.ConceptID
-	Dist int
-}
-
-// ConceptSphere returns the sphere neighborhood S_d(c) of a concept in the
-// semantic network: rings are built using the semantic relations connecting
-// concepts (hypernyms, hyponyms, meronyms, holonyms, ...), in contrast with
-// the XML structural containment relations (§3.5.2).
-func ConceptSphere(net *semnet.Network, c semnet.ConceptID, d int) []ConceptSphereMember {
-	nb := net.Neighborhood(c, d)
-	out := make([]ConceptSphereMember, 0, len(nb))
-	for id, dist := range nb {
-		out = append(out, ConceptSphereMember{ID: id, Dist: dist})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // ConceptScratch holds the reusable buffers of dense concept-sphere BFS
 // and vector construction: stamped visited/distance arrays sized to the
 // network, emission-order member lists, and the shared vector fold
@@ -289,27 +263,4 @@ func CombinedConceptVectorInto(net *semnet.Network, p, q semnet.DenseID, d int, 
 		size++
 	}
 	return s.vec.fold(float64(size + 1))
-}
-
-// ConceptVector builds V_d(s) as an owned vector; unknown concept ids
-// yield the empty vector.
-func ConceptVector(net *semnet.Network, c semnet.ConceptID, d int) Vector {
-	dc, ok := net.Dense(c)
-	if !ok {
-		return Vector{}
-	}
-	var s ConceptScratch
-	return ConceptVectorInto(net, dc, d, &s).Clone()
-}
-
-// CombinedConceptVector builds V_d(s_p, s_q) as an owned vector; unknown
-// concept ids yield the empty vector.
-func CombinedConceptVector(net *semnet.Network, p, q semnet.ConceptID, d int) Vector {
-	dp, okp := net.Dense(p)
-	dq, okq := net.Dense(q)
-	if !okp || !okq {
-		return Vector{}
-	}
-	var s ConceptScratch
-	return CombinedConceptVectorInto(net, dp, dq, d, &s).Clone()
 }

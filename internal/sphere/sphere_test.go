@@ -232,21 +232,45 @@ func miniNet(t *testing.T) *semnet.Network {
 	return n
 }
 
+// conceptVector builds V_d of the named concept as an owned vector.
+func conceptVector(t *testing.T, n *semnet.Network, id semnet.ConceptID, d int) Vector {
+	t.Helper()
+	dc, ok := n.Dense(id)
+	if !ok {
+		t.Fatalf("no dense id for %s", id)
+	}
+	var s ConceptScratch
+	return ConceptVectorInto(n, dc, d, &s).Clone()
+}
+
+// combinedConceptVector builds V_d of the named pair as an owned vector.
+func combinedConceptVector(t *testing.T, n *semnet.Network, p, q semnet.ConceptID, d int) Vector {
+	t.Helper()
+	dp, okp := n.Dense(p)
+	dq, okq := n.Dense(q)
+	if !okp || !okq {
+		t.Fatalf("no dense ids for %s, %s", p, q)
+	}
+	var s ConceptScratch
+	return CombinedConceptVectorInto(n, dp, dq, d, &s).Clone()
+}
+
+// TestConceptSphere: the concept sphere S_d(c) a concept vector is built
+// from grows along all relation kinds, one label dimension per member in
+// the mini network.
 func TestConceptSphere(t *testing.T) {
 	n := miniNet(t)
-	members := ConceptSphere(n, "c.n.01", 1)
-	if len(members) != 2 { // center + b
-		t.Fatalf("|S1(c)| = %d: %v", len(members), members)
+	if v := conceptVector(t, n, "c.n.01", 1); v.Len() != 2 { // center + b
+		t.Fatalf("|S1(c)| = %d: %v", v.Len(), v)
 	}
-	members2 := ConceptSphere(n, "c.n.01", 2)
-	if len(members2) != 4 { // + a, d through b
-		t.Fatalf("|S2(c)| = %d: %v", len(members2), members2)
+	if v := conceptVector(t, n, "c.n.01", 2); v.Len() != 4 { // + a, d through b
+		t.Fatalf("|S2(c)| = %d: %v", v.Len(), v)
 	}
 }
 
 func TestConceptVectorDimensions(t *testing.T) {
 	n := miniNet(t)
-	v := ConceptVector(n, "c.n.01", 2)
+	v := conceptVector(t, n, "c.n.01", 2)
 	for _, dim := range []string{"gamma", "beta", "alpha", "delta"} {
 		if v.At(n, dim) <= 0 {
 			t.Errorf("dimension %q missing: %v", dim, v)
@@ -260,7 +284,7 @@ func TestConceptVectorDimensions(t *testing.T) {
 
 func TestCombinedConceptVector(t *testing.T) {
 	n := miniNet(t)
-	v := CombinedConceptVector(n, "c.n.01", "d.n.01", 1)
+	v := combinedConceptVector(t, n, "c.n.01", "d.n.01", 1)
 	// Union of both 1-spheres: c, b (from c), d, b (from d) -> dims
 	// gamma, beta, delta.
 	for _, dim := range []string{"gamma", "beta", "delta"} {
@@ -269,7 +293,7 @@ func TestCombinedConceptVector(t *testing.T) {
 		}
 	}
 	// The overlapping member (b) keeps its minimal distance.
-	single := ConceptVector(n, "c.n.01", 1)
+	single := conceptVector(t, n, "c.n.01", 1)
 	if v.At(n, "beta") <= 0 || single.At(n, "beta") <= 0 {
 		t.Error("expected beta in both vectors")
 	}

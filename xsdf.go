@@ -672,7 +672,7 @@ func (f *Framework) ExplainSimilarity(a, b ConceptID) []ConceptID {
 }
 
 // CacheStats is a snapshot of the framework's shared memoization
-// counters (pairwise similarities and semantic-network sphere vectors).
+// counters (per-word similarities and semantic-network sphere vectors).
 type CacheStats = disambig.CacheStats
 
 // GateStats reports the admission gate's occupancy and wait statistics —
