@@ -46,8 +46,9 @@ bench-snapshot:
 # BenchmarkPipelineBatch/shared-cache (warm reprocess, concept-based),
 # BenchmarkPipelineBatch/shared-cache-combined (warm reprocess under the
 # combined method, so the concept-vector memo and the cosine run too),
-# BenchmarkPipelineBatch/cold-cache (fresh caches: every similarity memo
-# fills), BenchmarkPipelineParse (the parse layer alone) or
+# BenchmarkPipelineBatch/cold-cache (fresh caches: the word-similarity and
+# concept-vector memos fill), BenchmarkPipelineParse (the parse layer
+# alone) or
 # BenchmarkPipelineReload (one lexicon hot-swap: load, validate, canary,
 # swap) regresses more than 15% in ns/op (or allocs/op) against the
 # committed
