@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,6 +103,56 @@ func TestProcessTreesEmptyAndDefaults(t *testing.T) {
 	res, err = fw.ProcessTrees(corpusTrees(t, 2), 99)
 	if err != nil || len(res) != 2 || res[0] == nil {
 		t.Fatalf("tiny batch: %v %v", res, err)
+	}
+}
+
+// TestProcessTreesInFlightBound: a batch runs at most Workers documents
+// at once, the caller counted, and reaches that many. Each BeforeTree call
+// holds its document until Workers are in flight (or a timeout passes),
+// then a little longer, so a pool one worker short never fills and one
+// worker over shows a higher peak.
+func TestProcessTreesInFlightBound(t *testing.T) {
+	fw, err := New(wordnet.Default(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var inFlight, peak atomic.Int32
+			full := make(chan struct{})
+			var once sync.Once
+			restore := SetTestHooks(TestHooks{BeforeTree: func(*xmltree.Tree) {
+				n := inFlight.Add(1)
+				defer inFlight.Add(-1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
+				}
+				if n == int32(workers) {
+					once.Do(func() { close(full) })
+				}
+				select {
+				case <-full:
+				case <-time.After(5 * time.Second):
+				}
+				time.Sleep(time.Millisecond)
+			}})
+			defer restore()
+			results, err := fw.ProcessTrees(corpusTrees(t, 3*workers), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range results {
+				if r == nil {
+					t.Fatalf("missing result %d", i)
+				}
+			}
+			if got := peak.Load(); got != int32(workers) {
+				t.Errorf("peak of %d documents in flight, want %d", got, workers)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,6 +378,81 @@ func TestApplyParallelPanicPropagates(t *testing.T) {
 	}()
 	d.Apply(tr.Nodes())
 	t.Fatal("Apply must panic")
+}
+
+// TestApplyParallelPanicStopsNodeHooks: once a node-worker panic reaches
+// the caller, every worker has returned — no NodeHook call is still
+// running, and none starts afterwards. The calling goroutine, which claims
+// targets too, panics while the other workers sit in their hooks, so a
+// caller that re-raised the panic without waiting for them would find
+// them running.
+func TestApplyParallelPanicStopsNodeHooks(t *testing.T) {
+	net := wordnet.Default()
+	tr := corpus.GenerateDataset(1, 1)[0].Tree
+	lingproc.ProcessTree(tr, net)
+	const workers = 4
+	var running, calls atomic.Int32
+	d := New(net, Options{
+		Radius: 2, Method: ConceptBased, SimWeights: simmeasure.EqualWeights(),
+		Workers: workers,
+		NodeHook: func(*xmltree.Node) {
+			running.Add(1)
+			defer running.Add(-1)
+			calls.Add(1)
+			// Only the calling goroutine's stack holds the test's frame.
+			if !strings.Contains(string(debug.Stack()), ".TestApplyParallelPanicStopsNodeHooks(") {
+				time.Sleep(20 * time.Millisecond)
+				return
+			}
+			for wait := time.Now().Add(5 * time.Second); running.Load() < workers && time.Now().Before(wait); {
+				time.Sleep(100 * time.Microsecond)
+			}
+			panic("injected node fault")
+		},
+	})
+	func() {
+		defer func() {
+			if v := recover(); v != "injected node fault" {
+				t.Fatalf("recovered %v, want the injected fault value", v)
+			}
+		}()
+		d.Apply(tr.Nodes())
+		t.Fatal("Apply must panic")
+	}()
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d NodeHook calls still running after the panic reached the caller", n)
+	}
+	after := calls.Load()
+	time.Sleep(50 * time.Millisecond)
+	if n := calls.Load() - after; n != 0 {
+		t.Errorf("%d NodeHook calls started after the panic reached the caller", n)
+	}
+}
+
+// panicInNodeHook is a NodeHook that panics, named so a stack trace shows
+// its frame.
+func panicInNodeHook(*xmltree.Node) { panic("injected node fault") }
+
+// TestApplyReportOneWorkerPanicKeepsStack: a one-worker run recovers
+// nothing, so the panic reaching the caller still carries the panicking
+// frame in its stack.
+func TestApplyReportOneWorkerPanicKeepsStack(t *testing.T) {
+	tr := parse(t, figure1Doc)
+	d := New(wordnet.Default(), Options{
+		Radius: 2, Method: ConceptBased, SimWeights: simmeasure.EqualWeights(),
+		Workers: 1, NodeHook: panicInNodeHook,
+	})
+	defer func() {
+		v := recover()
+		if v != "injected node fault" {
+			t.Fatalf("recovered %v, want the injected fault value", v)
+		}
+		if stack := string(debug.Stack()); !strings.Contains(stack, "panicInNodeHook") {
+			t.Errorf("stack lost the panicking frame:\n%s", stack)
+		}
+	}()
+	d.ApplyReport(context.Background(), tr.Nodes())
+	t.Fatal("ApplyReport must panic")
 }
 
 // TestApplyParallelCancellation: cancelling mid-run aborts promptly with

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/semnet"
 	"repro/internal/xmltree"
 	"repro/xsdferrors"
 )
@@ -189,57 +188,64 @@ func degradeThrough(b *budget, ctx context.Context) bool {
 	return b != nil && errors.Is(ctx.Err(), context.DeadlineExceeded)
 }
 
-// nodeAt scores one target at the given ladder level: on the document
-// table when the target is in it, through the per-node path otherwise.
-func (d *Disambiguator) nodeAt(x *xmltree.Node, lvl xsdferrors.DegradationLevel, t *docTable, s *ctxScratch) (Sense, bool) {
+// nodeAt scores one target at the given ladder level — on the document
+// table when the target is in it, through the per-node path otherwise —
+// and returns the winner's Sense.ID and score.
+func (d *Disambiguator) nodeAt(x *xmltree.Node, lvl xsdferrors.DegradationLevel, t *docTable, s *ctxScratch) (string, float64, bool) {
 	method := d.opts.Method
 	if lvl == xsdferrors.DegradeConceptOnly {
 		method = ConceptBased
 	}
 	p, inTable := t.position(x)
+	var c choice
+	var ok bool
 	switch {
 	case lvl == xsdferrors.DegradeFirstSense && inTable:
 		return d.firstSenseOf(t.lemmas[t.lemOff[p]:t.lemOff[p+1]])
 	case lvl == xsdferrors.DegradeFirstSense:
 		return d.firstSense(x)
 	case inTable:
-		return d.nodeInDoc(t, p, method, s)
+		c, ok = d.nodeInDoc(t, p, method, s)
 	default:
-		return d.nodeWith(x, method)
+		c, ok = d.nodeWith(x, method)
 	}
+	if !ok {
+		return "", 0, false
+	}
+	return d.senseID(c.candidate), c.score, true
 }
 
 // firstSense is the ladder's last rung: each token of the label gets its
 // most frequent sense (semnet.Senses is frequency-ordered, so index 0 is
 // the MFS baseline) with no context scoring at all.
-func (d *Disambiguator) firstSense(x *xmltree.Node) (Sense, bool) {
+func (d *Disambiguator) firstSense(x *xmltree.Node) (string, float64, bool) {
 	var buf [4]int32
 	return d.firstSenseOf(d.appendLemmas(buf[:0], x))
 }
 
 // firstSenseOf is firstSense over the label ids of the label's tokens (-1
-// for unknown ones). The score is 1 when every known token is monosemous —
-// the same certainty full scoring reports — and 0 otherwise, marking an
+// for unknown ones), returning the Sense.ID of the known tokens' first
+// senses. The score is 1 when every known token is monosemous — the same
+// certainty full scoring reports — and 0 otherwise, marking an
 // evidence-free pick.
-func (d *Disambiguator) firstSenseOf(lemmas []int32) (Sense, bool) {
-	var cs []semnet.ConceptID
+func (d *Disambiguator) firstSenseOf(lemmas []int32) (id string, score float64, ok bool) {
 	allMono := true
 	for _, l := range lemmas {
 		if l < 0 {
 			continue
 		}
 		s := d.net.LemmaSensesDense(l)
-		cs = append(cs, d.conceptID(s[0]))
+		c := string(d.conceptID(s[0]))
+		if ok {
+			c = id + "+" + c
+		}
+		id, ok = c, true
 		if len(s) > 1 {
 			allMono = false
 		}
 	}
-	if len(cs) == 0 {
-		return Sense{}, false
-	}
-	var score float64
-	if allMono {
+	if ok && allMono {
 		score = 1
 	}
-	return Sense{Concepts: cs, Score: score}, true
+	return id, score, ok
 }

@@ -3,11 +3,13 @@ package disambig
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/simmeasure"
 	"repro/internal/wordnet"
+	"repro/internal/xmltree"
 	"repro/xsdferrors"
 )
 
@@ -165,6 +167,33 @@ func TestDeadlineRiddenOutAtFirstSense(t *testing.T) {
 	}
 }
 
+// TestApplyReportCancelAfterLastClaim: a run errs exactly when some
+// target was never claimed, so a context that ends while the last target
+// is being scored leaves the run a success, whatever the worker count.
+func TestApplyReportCancelAfterLastClaim(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		tr := parse(t, figure1Doc)
+		targets := tr.Nodes()
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int32
+		opts := degradeOpts(Degradation{})
+		opts.Workers = workers
+		opts.NodeHook = func(*xmltree.Node) {
+			if int(calls.Add(1)) == len(targets) {
+				cancel()
+			}
+		}
+		rep, err := New(wordnet.Default(), opts).ApplyReport(ctx, targets)
+		cancel()
+		if err != nil {
+			t.Fatalf("workers=%d: every target was claimed, want nil, got %v", workers, err)
+		}
+		if rep.Unscored != 0 || rep.NodesAtLevel[xsdferrors.DegradeNone] != len(targets) {
+			t.Errorf("workers=%d: report %+v, want all %d targets attempted", workers, rep, len(targets))
+		}
+	}
+}
+
 // TestCancelMidLadderReturnsDegradedError: explicit cancellation with the
 // ladder on aborts with a *DegradedError carrying exact accounting.
 func TestCancelMidLadderReturnsDegradedError(t *testing.T) {
@@ -205,11 +234,11 @@ func TestFirstSenseRungScoresMonosemous(t *testing.T) {
 	d := New(wordnet.Default(), degradeOpts(Degradation{Enabled: true}))
 	// "kelly" is polysemous: first-sense must pick index 0 with score 0.
 	kelly := find(t, tr, "kelly")
-	s, ok := d.firstSense(kelly)
+	id, score, ok := d.firstSense(kelly)
 	if !ok {
 		t.Fatal("first-sense failed on known label")
 	}
-	if want := d.net.Senses("kelly")[0]; s.Concepts[0] != want || s.Score != 0 {
-		t.Errorf("polysemous first-sense = %v score %v, want %v score 0", s.Concepts, s.Score, want)
+	if want := d.net.Senses("kelly")[0]; id != string(want) || score != 0 {
+		t.Errorf("polysemous first-sense = %v score %v, want %v score 0", id, score, want)
 	}
 }

@@ -401,13 +401,13 @@ func (t *docTable) senseRow(d *Disambiguator, row int32, sense semnet.DenseID, t
 // the same operands in the same order (member order, token order,
 // ascending dimensions), and a product skipped in a dot product is an
 // exact zero.
-func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScratch) (Sense, bool) {
+func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScratch) (choice, bool) {
 	a, b, ok := pick(t.readings(d.net, p))
 	if !ok {
-		return Sense{}, false
+		return choice{}, false
 	}
 	if len(b.senses) == 0 && len(a.senses) == 1 {
-		return d.monosemous(a), true
+		return monosemous(a), true
 	}
 	dc := t.contextAt(p, d.opts.Radius, s)
 	defer clearAt(s.acc, dc.local.Dims)
@@ -427,7 +427,7 @@ func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScr
 			s.scores[k] = wc*s.scores[k] + wx*x
 		}
 	}
-	return d.winner(a, b, s.scores), true
+	return winner(a, b, s.scores), true
 }
 
 // clearAt zeroes acc at dims.

@@ -216,13 +216,14 @@ type Options struct {
 	FollowLinks bool
 
 	// NodeWorkers enables intra-document parallelism: the number of
-	// goroutines the target nodes of one document are fanned across
-	// during disambiguation. 0 or 1 keeps the serial per-node loop (the
-	// default — batch runs already parallelize across documents);
-	// negative selects GOMAXPROCS. Sense assignments are identical to a
-	// serial run: workers share the framework's concurrency-safe caches
-	// and each node's result depends only on the immutable network and
-	// the node's own context.
+	// workers, the calling goroutine included, that claim the target
+	// nodes of one document during disambiguation. 0 or 1 runs the
+	// per-node loop on the caller alone (the default — batch runs
+	// already parallelize across documents); negative selects
+	// GOMAXPROCS. Sense assignments are identical to a one-worker run:
+	// workers share the framework's concurrency-safe caches and each
+	// node's result depends only on the immutable network and the node's
+	// own context.
 	NodeWorkers int
 
 	// OneSensePerDiscourse harmonizes repeated labels to a single document
