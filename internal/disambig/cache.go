@@ -123,7 +123,7 @@ func (t *vecTable) concept(id semnet.DenseID) (normedVector, bool) {
 // pair returns the combined vector V_d(s_p, s_q), and whether the memo
 // held it. The union underlying the vector is symmetric in p and q, so
 // the pair is canonicalized to dense-ascending order for both the row and
-// the computation — cached and bypass paths fold weights in one order.
+// the computation: its weights fold in one order whichever way it is asked.
 func (t *vecTable) pair(p, q semnet.DenseID) (normedVector, bool) {
 	if q < p {
 		p, q = q, p
@@ -222,9 +222,11 @@ func (c *Cache) flush(t *cacheTally) {
 // shared word-memo reads (Measure.WordSimDense), not sense-pair probes: on
 // the document path one per (candidate sense, context lemma) per document,
 // since the document's word matrix answers repeats, or one per read for a
-// document above the matrix cap; on the per-node path one per candidate
-// sense and context token. VectorHits and VectorMisses count
-// concept-vector reads, single senses and compound pairs alike.
+// document above the matrix cap; on the per-node path one per sense of
+// the target's readings and context token, so each sense of a compound
+// label's pairs is read once per token, not once per pair. VectorHits and
+// VectorMisses count concept-vector reads, single senses and compound
+// pairs alike.
 //
 // Each run counts its reads locally and adds them when it returns (per
 // node worker, for a parallel run), so the counts are exact once the runs

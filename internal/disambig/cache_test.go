@@ -24,13 +24,15 @@ import (
 )
 
 // linkedDoc carries an ID/IDREF hyperlink so FollowLinks configurations
-// exercise the graph sphere.
+// exercise the graph sphere, and a compound label whose two tokens are
+// both known ("star rating"), so sense pairs (Eqs. 10 and 12) are scored.
 const linkedDoc = `<root>
   <credits><cast id="c1"><star>stewart</star><star>kelly</star></cast></credits>
   <films>
     <picture title="Rear Window">
       <director>Hitchcock</director>
       <genre>mystery</genre>
+      <StarRating>4</StarRating>
       <plot>A wheelchair bound photographer spies on his neighbors</plot>
     </picture>
   </films>
@@ -58,11 +60,12 @@ func goldenTree(t *testing.T, followLinks bool) *xmltree.Tree {
 }
 
 // TestGoldenCachedVsBypass asserts that the fully-cached scoring path and
-// a cache-bypass path (every similarity, vector, and context recomputed
-// from scratch on each call) produce identical senses and bit-identical
-// scores, across all three methods and both sphere models. This is the
-// correctness contract of the shared caching layer: memoization must be
-// invisible in the output.
+// the reference scorer (reference_test.go: every similarity, vector, and
+// context recomputed from scratch, one candidate at a time) produce
+// identical senses and bit-identical scores, for Node and every
+// candidate of Candidates, across all three methods and both sphere
+// models. This is the correctness contract of the shared caching layer
+// and the block scorer: memoization must be invisible in the output.
 func TestGoldenCachedVsBypass(t *testing.T) {
 	net := wordnet.Default()
 	for _, method := range []Method{ConceptBased, ContextBased, Combined} {
@@ -72,44 +75,25 @@ func TestGoldenCachedVsBypass(t *testing.T) {
 				name += "-links"
 			}
 			t.Run(name, func(t *testing.T) {
-				opts := Options{
+				cached := New(net, Options{
 					Radius:        2,
 					Method:        method,
 					SimWeights:    simmeasure.EqualWeights(),
 					ConceptWeight: 0.5,
 					ContextWeight: 0.5,
 					FollowLinks:   followLinks,
-				}
-				cached := New(net, opts)
-				bypass := New(net, opts)
-				bypass.bypassCache = true
-
-				targets := goldenTargets(t, followLinks)
+				})
 				compared := 0
-				for _, n := range targets {
-					sc, okC := cached.Node(n)
-					sb, okB := bypass.Node(n)
-					if okC != okB {
-						t.Fatalf("node %q: cached ok=%v bypass ok=%v", n.Label, okC, okB)
-					}
-					if !okC {
-						continue
-					}
-					compared++
-					if sc.ID() != sb.ID() {
-						t.Errorf("node %q: cached sense %s, bypass %s", n.Label, sc.ID(), sb.ID())
-					}
-					if sc.Score != sb.Score {
-						t.Errorf("node %q: cached score %.17g, bypass %.17g", n.Label, sc.Score, sb.Score)
-					}
-					// Every candidate's score, not only the winner's: the
-					// ranking behind Node, its context rebuilt per call,
-					// must match the bypass ranking bit for bit every time.
-					bypassed := bypass.Candidates(n)
+				for _, n := range goldenTargets(t, followLinks) {
+					// Twice: the second call reads warm memos and
+					// rebuilds the context in reused scratch.
 					for call := 1; call <= 2; call++ {
-						if got := cached.Candidates(n); !sameRanking(got, bypassed) {
-							t.Errorf("node %q call %d: cached candidates %v, bypass %v", n.Label, call, got, bypassed)
+						if err := nodeMatchesReference(cached, n); err != nil {
+							t.Errorf("call %d: %v", call, err)
 						}
+					}
+					if _, ok := cached.Node(n); ok {
+						compared++
 					}
 				}
 				if compared == 0 {
@@ -118,14 +102,6 @@ func TestGoldenCachedVsBypass(t *testing.T) {
 			})
 		}
 	}
-}
-
-// sameRanking reports whether two candidate rankings list the same senses
-// in the same order with bit-identical scores.
-func sameRanking(a, b []Sense) bool {
-	return slices.EqualFunc(a, b, func(x, y Sense) bool {
-		return x.ID() == y.ID() && math.Float64bits(x.Score) == math.Float64bits(y.Score)
-	})
 }
 
 // TestSharedCacheAcrossDocuments proves the point of the shared layer:

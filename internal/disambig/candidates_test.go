@@ -26,12 +26,24 @@ func TestCandidatesRankedAndConsistentWithNode(t *testing.T) {
 	}
 }
 
+// TestCandidatesMonosemous: a lone single-sense reading is one candidate
+// with score 1 (Assumption 4), as Node assigns it — also for a compound
+// label with one known, single-sense token.
 func TestCandidatesMonosemous(t *testing.T) {
-	tr := parse(t, `<cast><prologue>x</prologue></cast>`)
 	d := New(wordnet.Default(), DefaultOptions())
-	cands := d.Candidates(find(t, tr, "prologue"))
-	if len(cands) != 1 || cands[0].Score != 1 {
-		t.Fatalf("monosemous candidates = %v", cands)
+	for _, tc := range []struct{ doc, label string }{
+		{`<cast><prologue>x</prologue></cast>`, "prologue"},
+		{`<cast><PrologueZzqx>x</PrologueZzqx></cast>`, "prologue zzqx"},
+	} {
+		x := find(t, parse(t, tc.doc), tc.label)
+		cands := d.Candidates(x)
+		if len(cands) != 1 || cands[0].Score != 1 {
+			t.Errorf("%q: monosemous candidates = %v", tc.label, cands)
+			continue
+		}
+		if best, ok := d.Node(x); !ok || !sameSense(cands[0], best) {
+			t.Errorf("%q: Candidates[0] = %v, Node = %v %v", tc.label, cands[0], best, ok)
+		}
 	}
 }
 

@@ -188,30 +188,25 @@ func degradeThrough(b *budget, ctx context.Context) bool {
 	return b != nil && errors.Is(ctx.Err(), context.DeadlineExceeded)
 }
 
-// nodeAt scores one target at the given ladder level — on the document
-// table when the target is in it, through the per-node path otherwise —
-// and returns the winner's Sense.ID and score.
+// nodeAt scores one target at the given ladder level and returns the
+// winner's Sense.ID and score: first-sense at the last rung, else every
+// candidate through scoreTarget, concept-based at the concept-only rung.
 func (d *Disambiguator) nodeAt(x *xmltree.Node, lvl xsdferrors.DegradationLevel, t *docTable, s *ctxScratch) (string, float64, bool) {
 	method := d.opts.Method
-	if lvl == xsdferrors.DegradeConceptOnly {
+	switch lvl {
+	case xsdferrors.DegradeFirstSense:
+		if p, ok := t.position(x); ok {
+			return d.firstSenseOf(t.lemmas[t.lemOff[p]:t.lemOff[p+1]])
+		}
+		return d.firstSense(x)
+	case xsdferrors.DegradeConceptOnly:
 		method = ConceptBased
 	}
-	p, inTable := t.position(x)
-	var c choice
-	var ok bool
-	switch {
-	case lvl == xsdferrors.DegradeFirstSense && inTable:
-		return d.firstSenseOf(t.lemmas[t.lemOff[p]:t.lemOff[p+1]])
-	case lvl == xsdferrors.DegradeFirstSense:
-		return d.firstSense(x)
-	case inTable:
-		c, ok = d.nodeInDoc(t, p, method, s)
-	default:
-		c, ok = d.nodeWith(x, method)
-	}
+	a, b, scores, ok := d.scoreTarget(x, t, method, s)
 	if !ok {
 		return "", 0, false
 	}
+	c := winner(a, b, scores)
 	return d.senseID(c.candidate), c.score, true
 }
 

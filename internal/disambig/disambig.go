@@ -105,13 +105,6 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) vectorSim() sphere.VectorSim {
-	if o.VectorSim == nil {
-		return sphere.Cosine
-	}
-	return o.VectorSim
-}
-
 // Sense is a disambiguation outcome for one node: one concept for simple
 // labels, two for compound labels whose tokens were sensed separately.
 type Sense struct {
@@ -150,12 +143,6 @@ type Disambiguator struct {
 	opts  Options
 	cache *Cache
 	vecs  *vecTable // the cache's concept-vector memo at opts.Radius
-
-	// bypassCache, set only by differential tests, recomputes every
-	// similarity, vector, and context from scratch on each call and
-	// scores every node through the per-node build; golden tests assert
-	// the cached and bypass paths agree bit for bit.
-	bypassCache bool
 }
 
 // New returns a Disambiguator over net with the given options, backed by a
@@ -192,23 +179,25 @@ func (d *Disambiguator) Cache() *Cache { return d.cache }
 
 // contextNode is one pre-resolved member of the target's sphere context:
 // its vector weight and the [lemmaStart, lemmaEnd) range of its per-token
-// lemma ids within preparedContext.lemmas.
+// lemma ids within targetContext.lemmas.
 type contextNode struct {
 	weight     float64 // w_{V_d(x)}(x_i.ℓ)
 	lemmaStart int32
 	lemmaEnd   int32
 }
 
-// preparedContext is the per-node build's sphere context of one target
-// node: the Definition 6–7 context vector, one label id per member token
-// (-1 when the token names no concept), and the sphere size. tally counts
-// the memo reads of the run the context is scored in.
-type preparedContext struct {
-	vec    normedVector
+// targetContext is one target's sphere context, built on the document
+// table (contextAt) or per node (buildContextInto): the members after the
+// center, each with its vector weight and its token range in lemmas (one
+// label id per token, -1 when the token names no concept); the Definition
+// 6–7 context vector over label dimensions and, on the table, with the
+// same weights over the table's local dimensions; and the sphere size.
+type targetContext struct {
 	ctx    []contextNode
 	lemmas []int32
+	vec    normedVector
+	local  sphere.Vector // empty off the table
 	size   int
-	tally  *cacheTally
 }
 
 // normedVector is a context vector with its squared norm, summed once in
@@ -223,24 +212,26 @@ func normed(v sphere.Vector) normedVector {
 	return normedVector{Vector: v, norm2: sphere.SquaredNorm(v)}
 }
 
-// ctxScratch bundles the reusable buffers of both scoring paths: the
-// pointer BFS, vector fold, per-member dimensions and preparedContext of
-// the per-node build; the integer BFS, local-dimension accumulator,
-// docContext and per-candidate sums of the document path. Each scoring
-// goroutine draws one from ctxScratchPool, so the warm steady state
-// allocates nothing for context construction or scoring, and tallies its
-// memo reads in it until releaseScratch.
+// ctxScratch bundles the reusable buffers of scoring: the pointer BFS,
+// vector fold, per-member dimensions and context of the per-node build;
+// the integer BFS, local-dimension accumulator and context of the
+// document table; and the block scorer's per-sense and per-candidate
+// sums. The two contexts stay apart: the document context's lemmas are
+// the table's own slice, which the per-node build must never append to.
+// Each scoring goroutine draws one from ctxScratchPool, so the warm
+// steady state allocates nothing for context construction or scoring, and
+// tallies its memo reads in it until releaseScratch.
 type ctxScratch struct {
 	sph        sphere.Scratch
 	vec        sphere.VecScratch
 	memberDims []int32
-	lemmas     []int32
-	pc         preparedContext
-	scores     []float64 // per-candidate scores, in candidate order
+	pc         targetContext // the per-node build's
 
-	pos       sphere.PosScratch
-	acc       []float64 // context weight by local dimension; all zero between targets
-	dc        docContext
+	pos sphere.PosScratch
+	acc []float64     // context weight by local dimension; all zero between targets
+	dc  targetContext // the document table's
+
+	scores    []float64 // per-candidate scores, in candidate order
 	sims      []float64 // per-sense word maxima against one context member
 	ctxScores []float64 // the context leg's scores under the combined method
 
@@ -256,39 +247,38 @@ func (d *Disambiguator) releaseScratch(s *ctxScratch) {
 	ctxScratchPool.Put(s)
 }
 
-// buildContextInto is the per-node context build — the single-node APIs'
-// path and the bypass oracle. It runs the sphere BFS once and derives the
+// buildContextInto is the per-node context build, for a target outside a
+// document table: the single-node APIs' and a target of ApplyReport the
+// table does not hold. It runs the sphere BFS once and derives the
 // membership, the context vector, and the per-member token lemma ids from
-// that single walk, reusing every buffer in s. The center node is excluded
-// from the scoring context (its self-similarity is a constant offset for
-// every candidate, cf. Definition 8) but participates in the vector per
-// the Figure 7 convention. The result aliases s.
-func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *preparedContext {
+// that single walk, reusing every buffer in s. The center node is
+// excluded from the scoring context (its self-similarity is a constant
+// offset for every candidate, cf. Definition 8) but participates in the
+// vector per the Figure 7 convention. The result aliases s.
+func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *targetContext {
 	members := sphere.SphereInto(x, d.opts.Radius, d.opts.FollowLinks, &s.sph)
 	if cap(s.memberDims) < len(members) {
 		s.memberDims = make([]int32, len(members))
 	}
 	md := s.memberDims[:len(members)]
-	pc := &s.pc
-	pc.vec = normed(sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md))
-	pc.size = len(members)
-	pc.ctx = pc.ctx[:0]
-	pc.tally = &s.tally
-	s.lemmas = s.lemmas[:0]
+	tc := &s.pc
+	tc.vec = normed(sphere.VectorFromMembersInto(members, d.opts.Radius, d.net, &s.vec, md))
+	tc.size = len(members)
+	tc.ctx = tc.ctx[:0]
+	tc.lemmas = tc.lemmas[:0]
 	for i, m := range members {
 		if m.Node == x {
 			continue
 		}
 		var w float64
 		if md[i] >= 0 {
-			w = pc.vec.WeightOf(md[i])
+			w = tc.vec.WeightOf(md[i])
 		}
-		start := int32(len(s.lemmas))
-		s.lemmas = d.appendLemmas(s.lemmas, m.Node)
-		pc.ctx = append(pc.ctx, contextNode{weight: w, lemmaStart: start, lemmaEnd: int32(len(s.lemmas))})
+		start := int32(len(tc.lemmas))
+		tc.lemmas = d.appendLemmas(tc.lemmas, m.Node)
+		tc.ctx = append(tc.ctx, contextNode{weight: w, lemmaStart: start, lemmaEnd: int32(len(tc.lemmas))})
 	}
-	pc.lemmas = s.lemmas
-	return pc
+	return tc
 }
 
 // lemmaDense resolves a token to its label id, or -1 when it names no
@@ -322,9 +312,9 @@ type reading struct {
 	row    int32
 }
 
-// readings resolves the per-node path's candidate readings: the first
-// token (the label when there are none) and, for a compound label, the
-// second.
+// readings resolves the candidate readings of a target outside a document
+// table: the first token (the label when there are none) and, for a
+// compound label, the second.
 func (d *Disambiguator) readings(x *xmltree.Node) (tok0, tok1 reading, compound bool) {
 	switch len(x.Tokens) {
 	case 0:
@@ -361,23 +351,27 @@ func pick(tok0, tok1 reading, compound bool) (a, b reading, ok bool) {
 	}
 }
 
-// monosemous is the outcome of a lone single-sense reading, which needs no
-// context (Assumption 4: monosemous labels are unambiguous).
-func monosemous(a reading) choice {
-	return choice{candidate{ids: [2]semnet.DenseID{a.senses[0]}, n: 1}, 1}
-}
-
 // conceptID converts a dense id back to its ConceptID for result Senses.
 func (d *Disambiguator) conceptID(dc semnet.DenseID) semnet.ConceptID {
 	id, _ := d.net.ConceptAt(dc)
 	return id
 }
 
-// candidate is one reading of a target scored on the per-node path: a
-// sense, or a sense pair for a compound label (Eq. 10/12).
+// candidate is one reading of a target: a sense, or a sense pair for a
+// compound label (Eq. 10/12).
 type candidate struct {
 	ids [2]semnet.DenseID
 	n   int
+}
+
+// candidateAt returns the k-th candidate of the picked readings in
+// candidate order: a's senses, or the pairs of a's and b's senses with
+// a's sense varying slowest.
+func candidateAt(a, b reading, k int) candidate {
+	if nb := len(b.senses); nb > 0 {
+		return candidate{ids: [2]semnet.DenseID{a.senses[k/nb], b.senses[k%nb]}, n: 2}
+	}
+	return candidate{ids: [2]semnet.DenseID{a.senses[k]}, n: 1}
 }
 
 // choice is a scored candidate: a target's winner, or one entry of its
@@ -408,8 +402,7 @@ func (d *Disambiguator) senseID(c candidate) string {
 
 // wordSim returns max_j Sim(s, s_j) over the senses of a context lemma,
 // from the document matrix cell when one is given, else through the
-// shared word memo, or straight from the uncached computation in bypass
-// mode. Every cached read passes the cache-poison fault point, which
+// shared word memo. Every read passes the cache-poison fault point, which
 // chaos tests use to prove that a corrupted score degrades answer quality,
 // never answer shape; a poisoned value replaces the read and enters
 // neither the matrix nor the memo.
@@ -419,9 +412,6 @@ func (d *Disambiguator) senseID(c candidate) string {
 // Workers racing on one cell store identical bits. Memo reads are counted
 // in tl.
 func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint64, tl *cacheTally) float64 {
-	if d.bypassCache {
-		return d.cache.Measure().WordSimDirectDense(s, lemma)
-	}
 	if v, ok := faultinject.PoisonSim(); ok {
 		return v
 	}
@@ -438,92 +428,20 @@ func (d *Disambiguator) wordSim(s semnet.DenseID, lemma int32, cell *atomic.Uint
 	return v
 }
 
-// simToContextNode returns max_j Sim(s, s_j^i) over the senses of context
-// node cn, for the candidate sense s. A compound context label is
-// processed like a compound target (§3.5.1 note): the max over
-// token-sense pairs of the average similarity, which factorizes into the
-// average of per-token maxima — one word lookup per token.
-func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, cn contextNode) float64 {
-	var sum float64
-	var counted int
-	for i := cn.lemmaStart; i < cn.lemmaEnd; i++ {
-		l := pc.lemmas[i]
-		if l < 0 {
-			continue
-		}
-		sum += d.wordSim(s, l, nil, pc.tally)
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return sum / float64(counted)
-}
-
-// conceptScoreCtx computes Concept_Score(s_p, S_d(x), S̄N) (Definition 8):
-// the average over context nodes of the weighted maximum similarity
-// between the candidate sense and the context node's senses. For a
-// compound candidate (Eq. 10) the per-context-node similarity is the
-// average of its two senses' similarities.
-func (d *Disambiguator) conceptScoreCtx(c *candidate, pc *preparedContext) float64 {
-	if pc.size == 0 {
-		return 0
-	}
-	var total float64
-	for _, cn := range pc.ctx {
-		var s float64
-		for i := 0; i < c.n; i++ {
-			s += d.simToContextNode(c.ids[i], pc, cn)
-		}
-		s /= float64(c.n)
-		total += s * cn.weight
-	}
-	return total / float64(pc.size)
-}
-
 // conceptVectorD returns the cached semantic-network context vector of a
 // sense, counting the memo read in tl.
 func (d *Disambiguator) conceptVectorD(c semnet.DenseID, tl *cacheTally) normedVector {
-	if d.bypassCache {
-		var s sphere.ConceptScratch
-		return normed(sphere.ConceptVectorInto(d.net, c, d.opts.Radius, &s))
-	}
 	v, hit := d.vecs.concept(c)
 	tl.vector(hit)
 	return v
 }
 
 // pairVectorD returns the cached combined concept vector of a compound
-// candidate pair, counting the memo read in tl. The pair is canonicalized
-// to dense-ascending order so bypass and cached builds fold weights
-// identically.
+// candidate pair, counting the memo read in tl.
 func (d *Disambiguator) pairVectorD(p, q semnet.DenseID, tl *cacheTally) normedVector {
-	if d.bypassCache {
-		if q < p {
-			p, q = q, p
-		}
-		var s sphere.ConceptScratch
-		return normed(sphere.CombinedConceptVectorInto(d.net, p, q, d.opts.Radius, &s))
-	}
 	v, hit := d.vecs.pair(p, q)
 	tl.vector(hit)
 	return v
-}
-
-// scoreAs evaluates one candidate under an explicit method on the
-// per-node path — the seam the degradation ladder uses to force
-// concept-only scoring (Definition 8) without touching the configured
-// options.
-func (d *Disambiguator) scoreAs(method Method, c *candidate, pc *preparedContext) float64 {
-	switch method {
-	case ConceptBased:
-		return d.conceptScoreCtx(c, pc)
-	case ContextBased:
-		return d.contextScoreCtx(c, pc)
-	default:
-		wc, wx := d.mixWeights()
-		return wc*d.conceptScoreCtx(c, pc) + wx*d.contextScoreCtx(c, pc)
-	}
 }
 
 // mixWeights returns Eq. 13's w_Concept and w_Context, normalized to sum
@@ -536,83 +454,32 @@ func (d *Disambiguator) mixWeights() (wc, wx float64) {
 	return 0.5, 0.5
 }
 
-// contextScoreCtx is the context-based leg of scoreAs: Context_Score
-// (Definition 10), the vector similarity between the target's XML context
-// vector and the candidate sense's semantic-network context vector, or
-// for a compound candidate (Eq. 12) the vector of the union of its two
-// senses' spheres.
-func (d *Disambiguator) contextScoreCtx(c *candidate, pc *preparedContext) float64 {
-	if c.n == 2 {
-		return d.vectorScore(pc.vec, d.pairVectorD(c.ids[0], c.ids[1], pc.tally))
-	}
-	return d.vectorScore(pc.vec, d.conceptVectorD(c.ids[0], pc.tally))
-}
-
 // vectorScore compares a target's context vector with a concept vector.
 // With the default cosine both norms are precomputed, so it costs one
-// merge for the dot product; the bypass oracle and the other measures run
-// the generic function.
+// merge for the dot product; the other measures run the generic function.
 func (d *Disambiguator) vectorScore(ctx, cv normedVector) float64 {
-	if d.opts.VectorSim != nil || d.bypassCache {
-		return d.opts.vectorSim()(ctx.Vector, cv.Vector)
+	if d.opts.VectorSim != nil {
+		return d.opts.VectorSim(ctx.Vector, cv.Vector)
 	}
 	return sphere.CosineWithNorms(ctx.Vector, cv.Vector, ctx.norm2, cv.norm2)
 }
 
-// Node disambiguates a single target node: it enumerates candidate senses
-// (or sense pairs for compound labels), scores each, and returns the best.
-// ok is false when no token of the label is known to the network — the node
-// is left untouched, which the evaluation counts against recall.
+// Node disambiguates a single target node: it scores every candidate
+// sense (or sense pair, for a compound label) and returns the best. ok is
+// false when no token of the label is known to the network — the node is
+// left untouched, which the evaluation counts against recall.
 func (d *Disambiguator) Node(x *xmltree.Node) (Sense, bool) {
-	c, ok := d.nodeWith(x, d.opts.Method)
+	s := ctxScratchPool.Get().(*ctxScratch)
+	defer d.releaseScratch(s)
+	a, b, scores, ok := d.scoreTarget(x, nil, d.opts.Method, s)
 	if !ok {
 		return Sense{}, false
 	}
-	return d.sense(c), true
-}
-
-// nodeWith is Node under an explicit method: the per-node path, which the
-// degradation ladder's upper rungs also take for a target outside the
-// document table. It scores through pooled scratch: context construction
-// and candidate scoring allocate nothing in the warm steady state.
-func (d *Disambiguator) nodeWith(x *xmltree.Node, method Method) (choice, bool) {
-	a, b, ok := pick(d.readings(x))
-	if !ok {
-		return choice{}, false
-	}
-	if len(b.senses) == 0 && len(a.senses) == 1 {
-		return monosemous(a), true
-	}
-	s := ctxScratchPool.Get().(*ctxScratch)
-	defer d.releaseScratch(s)
-	return d.best(method, a, b, d.buildContextInto(x, s), s), true
-}
-
-// best scores every candidate of the picked readings on the per-node
-// path, one scoreAs call each, and returns the winner.
-func (d *Disambiguator) best(method Method, a, b reading, pc *preparedContext, s *ctxScratch) choice {
-	s.scores = s.scores[:0]
-	if len(b.senses) == 0 {
-		c := candidate{n: 1}
-		for _, sp := range a.senses {
-			c.ids[0] = sp
-			s.scores = append(s.scores, d.scoreAs(method, &c, pc))
-		}
-	} else {
-		c := candidate{n: 2}
-		for _, sp := range a.senses {
-			for _, sq := range b.senses {
-				c.ids = [2]semnet.DenseID{sp, sq}
-				s.scores = append(s.scores, d.scoreAs(method, &c, pc))
-			}
-		}
-	}
-	return winner(a, b, s.scores)
+	return d.sense(winner(a, b, scores)), true
 }
 
 // winner returns the first highest-scoring candidate of the picked
-// readings, given their scores in candidate order: a's senses, or the
-// pairs of a's and b's senses with a's sense varying slowest.
+// readings, given their scores in candidate order.
 func winner(a, b reading, scores []float64) choice {
 	bestScore, win := -1.0, 0
 	for k, sc := range scores {
@@ -620,43 +487,23 @@ func winner(a, b reading, scores []float64) choice {
 			bestScore, win = sc, k
 		}
 	}
-	if nb := len(b.senses); nb > 0 {
-		return choice{candidate{ids: [2]semnet.DenseID{a.senses[win/nb], b.senses[win%nb]}, n: 2}, bestScore}
-	}
-	return choice{candidate{ids: [2]semnet.DenseID{a.senses[win]}, n: 1}, bestScore}
+	return choice{candidateAt(a, b, win), bestScore}
 }
 
 // Candidates scores every candidate sense (or sense pair) of a target node
-// and returns them ordered best-first — the full ranking behind Node's
-// winner, for explanation UIs and confidence estimation. Nil when no token
-// of the label is known to the network.
+// and returns them ordered best-first, ties in candidate order — the full
+// ranking behind Node's winner, for explanation UIs and confidence
+// estimation. Nil when no token of the label is known to the network.
 func (d *Disambiguator) Candidates(x *xmltree.Node) []Sense {
-	tok0, tok1, compound := d.readings(x)
-	a, b, ok := pick(tok0, tok1, compound)
+	s := ctxScratchPool.Get().(*ctxScratch)
+	defer d.releaseScratch(s)
+	a, b, scores, ok := d.scoreTarget(x, nil, d.opts.Method, s)
 	if !ok {
 		return nil
 	}
-	if !compound && len(a.senses) == 1 {
-		return []Sense{d.sense(monosemous(a))}
-	}
-	s := ctxScratchPool.Get().(*ctxScratch)
-	defer d.releaseScratch(s)
-	pc := d.buildContextInto(x, s)
-	var out []Sense
-	c := candidate{n: 1}
-	if len(b.senses) == 0 {
-		for _, sp := range a.senses {
-			c.ids[0] = sp
-			out = append(out, d.sense(choice{c, d.scoreAs(d.opts.Method, &c, pc)}))
-		}
-	} else {
-		c.n = 2
-		for _, sp := range a.senses {
-			for _, sq := range b.senses {
-				c.ids = [2]semnet.DenseID{sp, sq}
-				out = append(out, d.sense(choice{c, d.scoreAs(d.opts.Method, &c, pc)}))
-			}
-		}
+	out := make([]Sense, len(scores))
+	for k, sc := range scores {
+		out[k] = d.sense(choice{candidateAt(a, b, k), sc})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
@@ -709,8 +556,8 @@ func (d *Disambiguator) ApplyContext(ctx context.Context, targets []*xmltree.Nod
 // table of preorder positions, label dimensions and lemma ids, and scores
 // every target on it, with Definition 8's per-word maxima kept in a
 // document-local matrix. A target outside that tree, and a tree whose
-// Index fields are not its preorder ranks, take Node's per-node path; the
-// results are the same bits either way.
+// Index fields are not its preorder ranks, get their context from Node's
+// per-node build; the scorer and the bits are the same either way.
 func (d *Disambiguator) ApplyReport(ctx context.Context, targets []*xmltree.Node) (Report, error) {
 	b := newBudget(ctx, len(targets), d.opts.Degrade)
 	tab := d.docTableFor(targets)

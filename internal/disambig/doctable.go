@@ -67,12 +67,12 @@ type docTable struct {
 var docTablePool = sync.Pool{New: func() any { return new(docTable) }}
 
 // docTableFor builds the table of the tree holding targets, or returns nil
-// when the run scores through the per-node path: in bypass mode (the
-// per-node build is the oracle), for an empty run, and for a tree the
-// table cannot represent — one whose Index fields are not the preorder
-// ranks (mutated without Reindex) or whose followed links leave it.
+// when the run builds every context per node: for an empty run, and for a
+// tree the table cannot represent — one whose Index fields are not the
+// preorder ranks (mutated without Reindex) or whose followed links leave
+// it.
 func (d *Disambiguator) docTableFor(targets []*xmltree.Node) *docTable {
-	if d.bypassCache || len(targets) == 0 {
+	if len(targets) == 0 {
 		return nil
 	}
 	root := targets[0]
@@ -300,31 +300,18 @@ func (t *docTable) reading(net *semnet.Network, i int32) reading {
 	return r
 }
 
-// docContext is one target's sphere context on the document table: the
-// members after the center, each with its vector weight and its lemma
-// range in the table; the Definition 6–7 context vector over the table's
-// local dimensions and, with the same weights, over label dimensions; and
-// the sphere size.
-type docContext struct {
-	ctx   []contextNode
-	local sphere.Vector
-	vec   normedVector
-	size  int
-}
-
 // contextAt builds the sphere context of the target at p into s: the
 // integer BFS, then the fold of each member's structural weight into the
 // scratch's accumulator at the member's local dimension, in member order.
-// The accumulator must be all zero; it is left holding the folded weights
-// at the context's local dimensions (dc.local.Dims), which the caller
-// zeroes when the target is scored. The result aliases s and t.
-func (t *docTable) contextAt(p int32, radius int, s *ctxScratch) *docContext {
+// The accumulator must be all zero, and is all zero again on return. The
+// result aliases s and t.
+func (t *docTable) contextAt(p int32, radius int, s *ctxScratch) *targetContext {
 	members := sphere.SphereAt(t.graph, p, radius, &s.pos)
 	if len(s.acc) < len(t.ldims) {
 		s.acc = make([]float64, len(t.ldims))
 	}
-	acc, dc := s.acc, &s.dc
-	locs := dc.local.Dims[:0]
+	acc, tc := s.acc, &s.dc
+	locs := tc.local.Dims[:0]
 	for _, m := range members {
 		dim := t.dims[m.Pos]
 		if dim < 0 {
@@ -343,24 +330,28 @@ func (t *docTable) contextAt(p int32, radius int, s *ctxScratch) *docContext {
 		acc[l] += sphere.Struct(int(m.Dist), radius)
 	}
 	norm := float64(len(members) + 1)
-	dims, weights := dc.vec.Dims[:0], dc.local.Weights[:0]
+	dims, weights := tc.vec.Dims[:0], tc.local.Weights[:0]
 	for _, l := range locs {
 		acc[l] = 2 * acc[l] / norm
 		dims = append(dims, t.ldims[l])
 		weights = append(weights, acc[l])
 	}
-	dc.local = sphere.Vector{Dims: locs, Weights: weights}
-	dc.vec = normed(sphere.Vector{Dims: dims, Weights: weights})
-	dc.size = len(members)
-	dc.ctx = dc.ctx[:0]
+	tc.local = sphere.Vector{Dims: locs, Weights: weights}
+	tc.vec = normed(sphere.Vector{Dims: dims, Weights: weights})
+	tc.size = len(members)
+	tc.ctx = tc.ctx[:0]
 	for _, m := range members[1:] { // members[0] is the center
 		var w float64
 		if dim := t.dims[m.Pos]; dim >= 0 {
 			w = acc[t.gl[dim]]
 		}
-		dc.ctx = append(dc.ctx, contextNode{weight: w, lemmaStart: t.lemOff[m.Pos], lemmaEnd: t.lemOff[m.Pos+1]})
+		tc.ctx = append(tc.ctx, contextNode{weight: w, lemmaStart: t.lemOff[m.Pos], lemmaEnd: t.lemOff[m.Pos+1]})
 	}
-	return dc
+	for _, l := range locs {
+		acc[l] = 0
+	}
+	tc.lemmas = t.lemmas
+	return tc
 }
 
 // senseRow returns the sense row of the sense at matrix row row and the
@@ -390,74 +381,81 @@ func (t *docTable) senseRow(d *Disambiguator, row int32, sense semnet.DenseID, t
 	return r, t.snorm[row]
 }
 
-// nodeInDoc is nodeWith for the target at table position p: its readings
-// and context come from the table, and every candidate is scored in one
-// block — one pass over the context for the concept leg, one dot product
-// per sense row for the context leg — instead of one scoreAs call per
-// candidate. The accumulator is zeroed when the target is done, on every
-// path out, so it is all zero between targets.
-//
-// Each candidate's score is the per-node path's to the bit: every sum has
-// the same operands in the same order (member order, token order,
-// ascending dimensions), and a product skipped in a dot product is an
-// exact zero.
-func (d *Disambiguator) nodeInDoc(t *docTable, p int32, method Method, s *ctxScratch) (choice, bool) {
-	a, b, ok := pick(t.readings(d.net, p))
+// scoreTarget is the one scoring path of Node, Candidates and
+// ApplyReport: it scores every candidate of target x under method. The
+// readings and the sphere context come from the document table t when x
+// is in it, from the per-node build otherwise (t nil, or x outside it). A
+// lone single-sense reading needs no context and scores 1 (Assumption 4:
+// monosemous labels are unambiguous); any other is scored in one block —
+// one pass over the context for the concept leg, one vector comparison
+// per candidate for the context leg. Each score has the bits of its
+// formula evaluated for that candidate alone: every sum keeps its
+// operands and their order (member order, token order, ascending
+// dimensions). It returns the picked readings and their candidates'
+// scores in candidate order (candidateAt), aliasing s; ok is false when
+// no token of the label is known.
+func (d *Disambiguator) scoreTarget(x *xmltree.Node, t *docTable, method Method, s *ctxScratch) (a, b reading, scores []float64, ok bool) {
+	p, inTable := t.position(x)
+	if inTable {
+		a, b, ok = pick(t.readings(d.net, p))
+	} else {
+		a, b, ok = pick(d.readings(x))
+	}
 	if !ok {
-		return choice{}, false
+		return a, b, nil, false
 	}
 	if len(b.senses) == 0 && len(a.senses) == 1 {
-		return monosemous(a), true
+		s.scores = append(s.scores[:0], 1)
+		return a, b, s.scores, true
 	}
-	dc := t.contextAt(p, d.opts.Radius, s)
-	defer clearAt(s.acc, dc.local.Dims)
+	var tc *targetContext
+	if inTable {
+		tc = t.contextAt(p, d.opts.Radius, s)
+	} else {
+		tc = d.buildContextInto(x, s)
+	}
 	n := len(a.senses) * max(1, len(b.senses))
 	s.scores = slices.Grow(s.scores[:0], n)[:n]
 	switch method {
 	case ConceptBased:
-		d.conceptBlock(t, a, b, dc, s, s.scores)
+		d.conceptBlock(t, a, b, tc, s, s.scores)
 	case ContextBased:
-		d.contextBlock(t, a, b, dc, &s.tally, s.scores)
+		d.contextBlock(t, a, b, tc, &s.tally, s.scores)
 	default:
 		s.ctxScores = slices.Grow(s.ctxScores[:0], n)[:n]
-		d.conceptBlock(t, a, b, dc, s, s.scores)
-		d.contextBlock(t, a, b, dc, &s.tally, s.ctxScores)
+		d.conceptBlock(t, a, b, tc, s, s.scores)
+		d.contextBlock(t, a, b, tc, &s.tally, s.ctxScores)
 		wc, wx := d.mixWeights()
-		for k, x := range s.ctxScores {
-			s.scores[k] = wc*s.scores[k] + wx*x
+		for k, v := range s.ctxScores {
+			s.scores[k] = wc*s.scores[k] + wx*v
 		}
 	}
-	return winner(a, b, s.scores), true
-}
-
-// clearAt zeroes acc at dims.
-func clearAt(acc []float64, dims []int32) {
-	for _, l := range dims {
-		acc[l] = 0
-	}
+	return a, b, s.scores, true
 }
 
 // conceptBlock writes Concept_Score (Definition 8, Eq. 10 for sense
 // pairs) of every candidate to out, in candidate order. It walks each
 // context member's known tokens once, adding the token's word maximum for
 // every sense of a and b into per-sense sums, then folds the member's
-// per-sense averages into each candidate's total. Per candidate that is
-// conceptScoreCtx's arithmetic: the sums start at +0 (so are never −0 and
-// 0 + x is x) and x/1 is x.
-func (d *Disambiguator) conceptBlock(t *docTable, a, b reading, dc *docContext, s *ctxScratch, out []float64) {
+// per-sense averages into each candidate's total. Per candidate every sum
+// keeps the per-candidate formula's operands and order (member order,
+// token order): the sums start at +0 (so are never −0 and 0 + x is x)
+// and x/1 is x.
+func (d *Disambiguator) conceptBlock(t *docTable, a, b reading, tc *targetContext, s *ctxScratch, out []float64) {
 	clear(out)
 	na, nb := len(a.senses), len(b.senses)
 	s.sims = slices.Grow(s.sims[:0], na+nb)[:na+nb]
 	sims := s.sims
-	for _, cn := range dc.ctx {
+	for _, cn := range tc.ctx {
 		clear(sims)
 		counted := 0
 		for i := cn.lemmaStart; i < cn.lemmaEnd; i++ {
-			if t.lemmas[i] < 0 {
+			l := tc.lemmas[i]
+			if l < 0 {
 				continue
 			}
-			d.addWordSims(sims[:na], a, t, i, &s.tally)
-			d.addWordSims(sims[na:], b, t, i, &s.tally)
+			d.addWordSims(sims[:na], a, t, l, i, &s.tally)
+			d.addWordSims(sims[na:], b, t, l, i, &s.tally)
 			counted++
 		}
 		if counted > 0 {
@@ -478,46 +476,47 @@ func (d *Disambiguator) conceptBlock(t *docTable, a, b reading, dc *docContext, 
 		}
 	}
 	for k := range out {
-		out[k] /= float64(dc.size)
+		out[k] /= float64(tc.size)
 	}
 }
 
 // addWordSims adds to sums[k] the word maximum of r's k-th sense against
-// the context token at i: its matrix cell when the table has a matrix,
-// else a read of the shared word memo.
-func (d *Disambiguator) addWordSims(sums []float64, r reading, t *docTable, i int32, tl *cacheTally) {
+// the context token at i, whose label id is lemma: its matrix cell when r
+// has matrix rows (then r and the context come from t, which has a
+// matrix), else a read of the shared word memo.
+func (d *Disambiguator) addWordSims(sums []float64, r reading, t *docTable, lemma, i int32, tl *cacheTally) {
 	for k, sense := range r.senses {
 		var cell *atomic.Uint64
 		if r.row >= 0 {
 			cell = &t.cells[(int(r.row)+k)*t.ncols+int(t.cols[i])]
 		}
-		sums[k] += d.wordSim(sense, t.lemmas[i], cell, tl)
+		sums[k] += d.wordSim(sense, lemma, cell, tl)
 	}
 }
 
 // contextBlock writes Context_Score (Definition 10, Eq. 12 for sense
 // pairs) of every candidate to out, in candidate order. Under the cosine
 // a single sense with a sense row costs one dot product over the
-// context's local dimensions; pairs, documents without sense rows and the
+// context's local dimensions; pairs, contexts without sense rows and the
 // other measures compare the context vector with the memo's concept
 // vector.
-func (d *Disambiguator) contextBlock(t *docTable, a, b reading, dc *docContext, tl *cacheTally, out []float64) {
+func (d *Disambiguator) contextBlock(t *docTable, a, b reading, tc *targetContext, tl *cacheTally, out []float64) {
 	if nb := len(b.senses); nb > 0 {
 		for kp, sp := range a.senses {
 			for kq, sq := range b.senses {
-				out[kp*nb+kq] = d.vectorScore(dc.vec, d.pairVectorD(sp, sq, tl))
+				out[kp*nb+kq] = d.vectorScore(tc.vec, d.pairVectorD(sp, sq, tl))
 			}
 		}
 		return
 	}
 	if a.row < 0 || len(t.srows) == 0 {
 		for k, sp := range a.senses {
-			out[k] = d.vectorScore(dc.vec, d.conceptVectorD(sp, tl))
+			out[k] = d.vectorScore(tc.vec, d.conceptVectorD(sp, tl))
 		}
 		return
 	}
 	for k, sp := range a.senses {
 		row, norm2 := t.senseRow(d, a.row+int32(k), sp, tl)
-		out[k] = sphere.CosineDense(dc.local, row, dc.vec.norm2, norm2)
+		out[k] = sphere.CosineDense(tc.local, row, tc.vec.norm2, norm2)
 	}
 }

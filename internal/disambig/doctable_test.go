@@ -57,10 +57,10 @@ func mutatedDoc(t *testing.T, followLinks bool) *xmltree.Tree {
 // TestGoldenDocumentPathVsBypass is the golden contract of the document
 // path: ApplyReport, scoring every target on the document table and its
 // word matrix, assigns each node exactly the sense and score bits the
-// bypass oracle's per-node Node(n) computes — for the three methods, tree
-// and graph spheres, serial and parallel node workers, a document above
-// the matrix cap, and a tree mutated without Reindex (which the table
-// refuses, so it is scored per node).
+// reference scorer computes — for the three methods, tree and graph
+// spheres, serial and parallel node workers, a document above the matrix
+// cap, and a tree mutated without Reindex (which the table refuses, so
+// every target gets its context from the per-node build).
 func TestGoldenDocumentPathVsBypass(t *testing.T) {
 	net := wordnet.Default()
 	docs := []struct {
@@ -91,7 +91,7 @@ func TestGoldenDocumentPathVsBypass(t *testing.T) {
 						tr := doc.build(t, followLinks)
 						targets := treeNodes(tr.Root)
 						checkTableKind(t, cached, targets, doc.table)
-						assigned, err := matchesBypass(cached, targets)
+						assigned, err := matchesReference(cached, targets)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -105,20 +105,18 @@ func TestGoldenDocumentPathVsBypass(t *testing.T) {
 	}
 }
 
-// matchesBypass scores targets with d's ApplyReport and checks every
-// node's sense and score bits against the bypass oracle's per-node Node
-// under the same options, and the report's assigned count. It returns the
-// number of assigned targets.
-func matchesBypass(d *Disambiguator, targets []*xmltree.Node) (int, error) {
-	bypass := NewShared(d.cache, d.opts)
-	bypass.bypassCache = true
+// matchesReference scores targets with d's ApplyReport and checks every
+// node's sense and score bits against the reference scorer under the same
+// options, and the report's assigned count. It returns the number of
+// assigned targets.
+func matchesReference(d *Disambiguator, targets []*xmltree.Node) (int, error) {
 	type ref struct {
 		sense Sense
 		ok    bool
 	}
 	want := make([]ref, len(targets))
 	for i, n := range targets {
-		want[i].sense, want[i].ok = bypass.Node(n)
+		want[i].sense, want[i].ok = refNode(d, n)
 	}
 	rep, err := d.ApplyReport(context.Background(), targets)
 	if err != nil {
@@ -130,13 +128,13 @@ func matchesBypass(d *Disambiguator, targets []*xmltree.Node) (int, error) {
 		w := want[i]
 		if !w.ok {
 			if n.Sense != "" {
-				errs = append(errs, fmt.Errorf("node %d %q: document path assigned %s, bypass none", i, n.Label, n.Sense))
+				errs = append(errs, fmt.Errorf("node %d %q: document path assigned %s, reference none", i, n.Label, n.Sense))
 			}
 			continue
 		}
 		assigned++
 		if n.Sense != w.sense.ID() || math.Float64bits(n.SenseScore) != math.Float64bits(w.sense.Score) {
-			errs = append(errs, fmt.Errorf("node %d %q: document path %s %.17g, bypass %s %.17g",
+			errs = append(errs, fmt.Errorf("node %d %q: document path %s %.17g, reference %s %.17g",
 				i, n.Label, n.Sense, n.SenseScore, w.sense.ID(), w.sense.Score))
 		}
 	}
@@ -229,8 +227,8 @@ func addSyntheticLinks(tr *xmltree.Tree) {
 // value, and vector weights and squared norm by bits, with dimensions
 // compared through their labels (unknown labels are ranked per sphere in
 // one build and per document in the other). The context's local
-// dimensions must name its label dimensions, and zeroing the accumulator
-// at them must leave it all zero.
+// dimensions must name its label dimensions, and the build must leave the
+// accumulator all zero.
 func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 	tab := d.docTableFor(nodes)
 	if tab == nil {
@@ -284,9 +282,8 @@ func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 				return fmt.Errorf("node %d: local dimension %d names %d, want %d", x.Index, l, tab.ldims[l], g.vec.Dims[i])
 			}
 		}
-		clearAt(got.acc, g.local.Dims)
 		if i := slices.IndexFunc(got.acc, func(w float64) bool { return w != 0 }); i >= 0 {
-			return fmt.Errorf("node %d: accumulator holds %v at %d after the target", x.Index, got.acc[i], i)
+			return fmt.Errorf("node %d: accumulator holds %v at %d after the context build", x.Index, got.acc[i], i)
 		}
 		w := d.buildContextInto(x, &want)
 		if g.size != w.size || len(g.ctx) != len(w.ctx) {
@@ -298,7 +295,7 @@ func contextsMatch(d *Disambiguator, nodes []*xmltree.Node) error {
 			if gc.weight != wc.weight {
 				return fmt.Errorf("node %d context node %d: weight %g, reference %g", x.Index, i, gc.weight, wc.weight)
 			}
-			if gl, wl := tab.lemmas[gc.lemmaStart:gc.lemmaEnd], w.lemmas[wc.lemmaStart:wc.lemmaEnd]; !slices.Equal(gl, wl) {
+			if gl, wl := g.lemmas[gc.lemmaStart:gc.lemmaEnd], w.lemmas[wc.lemmaStart:wc.lemmaEnd]; !slices.Equal(gl, wl) {
 				return fmt.Errorf("node %d context node %d: lemmas %v, reference %v", x.Index, i, gl, wl)
 			}
 		}
@@ -398,12 +395,13 @@ func FuzzDocumentContext(f *testing.F) {
 	})
 }
 
-// FuzzDocumentScores is the differential fuzz test of the document
-// path's block scorer: every node of a tree decoded from the fuzz input
-// (compound labels included) is scored by ApplyReport on the document
-// table and by the bypass oracle's per-node Node, and the senses and
-// score bits must agree. The first two bytes draw the method and the
-// vector measure; decodeFuzzTree draws the radius and links.
+// FuzzDocumentScores is the differential fuzz test of the block scorer:
+// every node of a tree decoded from the fuzz input (compound labels
+// included) is scored by ApplyReport on the document table, by Node and
+// Candidates on the per-node context, and by the reference scorer, and
+// the senses and score bits must agree. The first two bytes draw the
+// method and the vector measure; decodeFuzzTree draws the radius and
+// links.
 func FuzzDocumentScores(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 6, 0, 1, 0, 2, 1, 8, 2, 4, 3, 7})
 	f.Add([]byte{0, 1, 2, 1, 12, 0, 3, 0, 4, 1, 5, 2, 8, 3, 9, 0, 10, 5, 6, 1, 2, 3, 4, 0, 7, 1, 1, 3, 11, 6, 0, 2, 9})
@@ -427,8 +425,13 @@ func FuzzDocumentScores(f *testing.F) {
 			VectorSim:     measures[measure],
 			FollowLinks:   links,
 		})
-		if _, err := matchesBypass(d, tr.Nodes()); err != nil {
+		if _, err := matchesReference(d, tr.Nodes()); err != nil {
 			t.Fatalf("%s, measure %d, radius %d, links %v: %v", method, measure, radius, links, err)
+		}
+		for _, x := range tr.Nodes() {
+			if err := nodeMatchesReference(d, x); err != nil {
+				t.Fatalf("%s, measure %d, radius %d, links %v: %v", method, measure, radius, links, err)
+			}
 		}
 	})
 }
@@ -463,10 +466,9 @@ func TestLocalAccumulatorClearedAfterDocument(t *testing.T) {
 
 	serial := new(ctxScratch)
 	for _, x := range targets {
-		p, _ := tab.position(x)
-		d.nodeInDoc(tab, p, d.opts.Method, serial)
+		d.scoreTarget(x, tab, d.opts.Method, serial)
 		if err := cleared(serial); err != nil {
-			t.Fatalf("serial scratch after target %d: %v", p, err)
+			t.Fatalf("serial scratch after target %d: %v", x.Index, err)
 		}
 	}
 	if len(serial.acc) < len(tab.ldims) {
@@ -481,8 +483,7 @@ func TestLocalAccumulatorClearedAfterDocument(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(targets) && errs[w] == nil; i += len(workers) {
-				p, _ := tab.position(targets[i])
-				d.nodeInDoc(tab, p, d.opts.Method, s)
+				d.scoreTarget(targets[i], tab, d.opts.Method, s)
 				errs[w] = cleared(s)
 			}
 		}()
@@ -539,8 +540,7 @@ func TestSenseRowsHoldConceptVectors(t *testing.T) {
 				defer wg.Done()
 				s := new(ctxScratch)
 				for i := w; i < len(targets); i += workers {
-					p, _ := tab.position(targets[i])
-					d.nodeInDoc(tab, p, d.opts.Method, s)
+					d.scoreTarget(targets[i], tab, d.opts.Method, s)
 				}
 			}()
 		}
@@ -621,8 +621,7 @@ func TestDocumentFaultSeams(t *testing.T) {
 	defer tab.release()
 	s := new(ctxScratch)
 	for _, x := range tr.Nodes() {
-		p, _ := tab.position(x)
-		d.nodeInDoc(tab, p, d.opts.Method, s)
+		d.scoreTarget(x, tab, d.opts.Method, s)
 	}
 	after := make([]bool, 64)
 	for i := range after {
